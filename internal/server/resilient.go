@@ -219,12 +219,12 @@ type ResilientSession struct {
 	epoch         *connEpoch
 	resumeUnknown int           // consecutive resume_unknown replies for a live token
 	hint          time.Duration // pending server retry_after hint
-	stats    RetryStats
-	encDone  bool
-	respDone bool // server reported the session already complete at hello
-	closed   bool
-	resp     *SessionResult
-	err      error
+	stats         RetryStats
+	encDone       bool
+	respDone      bool // server reported the session already complete at hello
+	closed        bool
+	resp          *SessionResult
+	err           error
 }
 
 // Write implements the encoder's io.Writer: the magic and header frames

@@ -3,8 +3,10 @@ package store
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
+	"sync"
 
 	tempstream "repro"
 	"repro/internal/trace"
@@ -68,6 +70,18 @@ func containsString(list []string, v string) bool {
 	return false
 }
 
+// span is how many records q's [From, To) range delivers from a stream
+// of n records — the presize for the analysis window. A filter keeps a
+// subset of the range, so span stays an upper bound for filtered
+// queries.
+func (q Query) span(n int64) int64 {
+	to := n
+	if q.To > 0 && q.To < n {
+		to = q.To
+	}
+	return max(0, to-min(q.From, n))
+}
+
 // filtered reports whether the query carries decoded-stream filters.
 func (q Query) filtered() bool {
 	return q.CPU != nil || q.Class != nil || q.Category != nil
@@ -128,39 +142,66 @@ func (f *filterSink) AppendBatch(ms []trace.Miss) {
 
 func (f *filterSink) Finish(h trace.Header) { f.inner.Finish(h) }
 
+// reader is the pooled read-side state of one Stream call: the decoder
+// with its read, frame-payload and decoded-batch buffers, and the filter
+// sink with its kept-record buffer. Pooling it means a query pays for
+// the records it reads, not for buffers sized for the largest archive.
+type reader struct {
+	dec    *wire.Decoder
+	filter filterSink
+}
+
+var readers = sync.Pool{New: func() any { return &reader{dec: wire.NewDecoder(nil)} }}
+
+// release drops the references to this call's file, sink and symbol
+// table and returns r, buffers intact, to the pool.
+func (r *reader) release() {
+	r.dec.Reset(nil)
+	r.filter = filterSink{scratch: r.filter.scratch[:0]}
+	readers.Put(r)
+}
+
 // Stream decodes entry e's archive through q's record range and stream
 // filters into sink, returning the trailer. Errors classify as
 // *CorruptError (matching ErrArchiveCorrupt) when the archive's bytes
 // are at fault. On error the sink has received a prefix and no Finish.
 //
 // A Category filter needs the symbol table, which lives in the trailer
-// — the end of the stream — so that one case decodes the archive twice:
-// a first pass to recover the table, a second to filter. Archives are
-// local seekable files, so the extra pass is cheap relative to
-// analysis.
+// — the end of the stream. That case first scans the archive for the
+// trailer, checking every frame's CRC but decoding no record, then
+// rewinds and runs the one decoding pass, which validates every record
+// and the trailer's count as an unfiltered read does.
 func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) {
-	var st *trace.SymbolTable
-	if q.Category != nil {
-		pre, f, err := s.openDecoder(e)
-		if err != nil {
-			return wire.Trailer{}, err
-		}
-		_, runErr := pre.Run(trace.Discard{})
-		f.Close()
-		if runErr != nil {
-			return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: runErr}
-		}
-		st = pre.Symbols()
-	}
-	dec, f, err := s.openDecoder(e)
+	f, err := os.Open(filepath.Join(s.dir, e.File()))
 	if err != nil {
-		return wire.Trailer{}, err
+		return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "archive file missing", Err: err}
 	}
 	defer f.Close()
+	r := readers.Get().(*reader)
+	defer r.release()
+	dec := r.dec
+
+	var st *trace.SymbolTable
+	if q.Category != nil {
+		if err := startDecode(dec, f, e); err != nil {
+			return wire.Trailer{}, err
+		}
+		if _, err := dec.ScanTrailer(); err != nil {
+			return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "decode failed", Err: err}
+		}
+		st = dec.Symbols()
+		if _, err := f.Seek(0, io.SeekStart); err != nil {
+			return wire.Trailer{}, &CorruptError{ID: e.ID, Reason: "archive file unreadable", Err: err}
+		}
+	}
+	if err := startDecode(dec, f, e); err != nil {
+		return wire.Trailer{}, err
+	}
 
 	out := asBatchSink(sink)
 	if q.filtered() {
-		out = &filterSink{inner: out, q: q, st: st}
+		r.filter = filterSink{inner: out, q: q, st: st, scratch: r.filter.scratch}
+		out = &r.filter
 	}
 	var tr wire.Trailer
 	var runErr error
@@ -182,26 +223,19 @@ func (s *Store) Stream(e Entry, sink trace.Sink, q Query) (wire.Trailer, error) 
 	return tr, nil
 }
 
-// openDecoder opens e's archive and validates its header against the
-// manifest entry.
-func (s *Store) openDecoder(e Entry) (*wire.Decoder, *os.File, error) {
-	path := filepath.Join(s.dir, e.File())
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, &CorruptError{ID: e.ID, Reason: "archive file missing", Err: err}
-	}
-	dec := wire.NewDecoder(f)
+// startDecode points dec at the start of e's archive file f and
+// validates the stream header against the manifest entry.
+func startDecode(dec *wire.Decoder, f *os.File, e Entry) error {
+	dec.Reset(f)
 	meta, err := dec.Meta()
 	if err != nil {
-		f.Close()
-		return nil, nil, &CorruptError{ID: e.ID, Reason: "bad archive header", Err: err}
+		return &CorruptError{ID: e.ID, Reason: "bad archive header", Err: err}
 	}
 	if meta.CPUs != e.CPUs {
-		f.Close()
-		return nil, nil, &CorruptError{ID: e.ID,
+		return &CorruptError{ID: e.ID,
 			Reason: fmt.Sprintf("stream declares %d cpus, manifest says %d", meta.CPUs, e.CPUs)}
 	}
-	return dec, f, nil
+	return nil
 }
 
 // asBatchSink adapts any sink to the batch interface Stream drives.
@@ -243,7 +277,7 @@ func (s *Store) Analyze(q Query, opts tempstream.StreamOptions) ([]Result, []err
 		errs []error
 	)
 	for _, e := range s.Select(q) {
-		ts := tempstream.NewSession(e.CPUs, int(e.Records), opts)
+		ts := tempstream.NewSession(e.CPUs, int(q.span(e.Records)), opts)
 		tr, err := s.Stream(e, ts, q)
 		if err != nil {
 			ts.Close()

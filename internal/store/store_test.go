@@ -54,7 +54,7 @@ type recorder struct {
 	hs []trace.Header
 }
 
-func (r *recorder) Append(m trace.Miss)          { r.ms = append(r.ms, m) }
+func (r *recorder) Append(m trace.Miss)         { r.ms = append(r.ms, m) }
 func (r *recorder) AppendBatch(ms []trace.Miss) { r.ms = append(r.ms, ms...) }
 func (r *recorder) Finish(h trace.Header)       { r.hs = append(r.hs, h) }
 
@@ -389,11 +389,7 @@ func TestQuerySelection(t *testing.T) {
 	ms := sinktest.Misses(n, cpus)
 	h := sinktest.Header(n, cpus)
 
-	// 37 functions (the drive uses Func = i%37) across rotating categories.
-	funcs := make([]wire.FuncMeta, 37)
-	for i := range funcs {
-		funcs[i] = wire.FuncMeta{Name: "fn" + strings.Repeat("x", i%3) + string(rune('a'+i%26)) + string(rune('0'+i/26)), Category: trace.Category(i % int(trace.NumCategories))}
-	}
+	funcs := testFuncs()
 	oltp := writeArchive(t, s, store.Meta{App: "oltp", Machine: "multi-chip", Scale: "small", Seed: 7}, ms, h, funcs)
 	writeArchive(t, s, store.Meta{App: "apache", Machine: "single-chip", Scale: "large", Seed: 9}, ms[:100], sinktest.Header(100, cpus), nil)
 

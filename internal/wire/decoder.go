@@ -34,8 +34,13 @@ import (
 // never failed. Resumable reports whether the decoder stopped on a clean
 // frame boundary; a failure that delivered part of a frame cannot be
 // resumed, because re-sending that frame would double-deliver records.
+//
+// Reset points a Decoder at a new stream while keeping its read,
+// frame-payload and decoded-batch buffers, so a consumer reading many
+// streams in turn — the archive store — allocates them once.
 type Decoder struct {
 	r    *bufio.Reader
+	own  *bufio.Reader // the decoder's own read buffer, kept across Reset
 	meta Meta
 	prev []uint64 // last block seen per CPU
 
@@ -68,10 +73,27 @@ type Decoder struct {
 // NewDecoder prepares a decoder over r. No bytes are read until Meta or
 // Run.
 func NewDecoder(r io.Reader) *Decoder {
-	if br, ok := r.(*bufio.Reader); ok {
-		return &Decoder{r: br, boundary: true}
+	d := &Decoder{}
+	d.Reset(r)
+	return d
+}
+
+// Reset discards all stream state — header, delta chain, trailer,
+// progress, range, frame hook, terminal error — and switches the decoder
+// to a new stream read from r, as bufio.Reader.Reset does for a reader.
+// The read buffer (when r is not itself a *bufio.Reader), the
+// frame-payload buffer and the decoded-batch buffer are kept.
+func (d *Decoder) Reset(r io.Reader) {
+	br, ok := r.(*bufio.Reader)
+	if !ok {
+		if d.own == nil {
+			d.own = bufio.NewReaderSize(r, 64<<10)
+		} else {
+			d.own.Reset(r)
+		}
+		br = d.own
 	}
-	return &Decoder{r: bufio.NewReaderSize(r, 64<<10), boundary: true}
+	*d = Decoder{r: br, own: d.own, prev: d.prev[:0], payload: d.payload, batch: d.batch[:0], boundary: true}
 }
 
 // SetFrameHook installs fn, called after each data frame has been fully
@@ -203,7 +225,7 @@ func (d *Decoder) Meta() (Meta, error) {
 		return Meta{}, d.fail(ErrCorrupt, "trailing bytes in header frame")
 	}
 	d.meta = Meta{Version: int(v), CPUs: int(cpus)}
-	d.prev = make([]uint64, cpus)
+	d.prev = append(d.prev[:0], make([]uint64, cpus)...)
 	d.read = true
 	return d.meta, nil
 }
@@ -260,6 +282,16 @@ func (d *Decoder) RunRange(sink trace.Sink, from, to int64) (Trailer, error) {
 	return d.run(sink)
 }
 
+// ScanTrailer reads the remainder of the stream frame by frame, verifying
+// every frame's CRC, but decodes only the trailer: the cheap way to reach
+// a self-contained stream's symbol table ahead of a decoding pass (the
+// archive store's category filter). Records are neither parsed nor
+// delivered, so the record checks — bounds, delta chains, the trailer's
+// total count — belong to a later Run over the same stream, after Reset.
+func (d *Decoder) ScanTrailer() (Trailer, error) { return d.run(nil) }
+
+// run drives the frame loop; a nil sink is ScanTrailer's scan, which
+// skips data frames once their CRC has been checked.
 func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 	if _, err := d.Meta(); err != nil {
 		return Trailer{}, err
@@ -274,6 +306,9 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 		}
 		switch kind {
 		case kindData:
+			if sink == nil {
+				continue
+			}
 			n, err := d.decodeData(p, sink)
 			d.records += n
 			if err != nil {
@@ -299,7 +334,7 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 			if err != nil {
 				return Trailer{}, err
 			}
-			if int64(tr.Header.Misses) != d.records {
+			if sink != nil && int64(tr.Header.Misses) != d.records {
 				d.boundary = false // the producer's totals are wrong; re-sending cannot fix them
 				return Trailer{}, d.fail(ErrCorrupt, "trailer claims %d records, stream carried %d", tr.Header.Misses, d.records)
 			}
@@ -313,7 +348,9 @@ func (d *Decoder) run(sink trace.Sink) (Trailer, error) {
 			// ReadAll (or ExpectEOF) to reject trailing garbage.
 			d.trailer = tr
 			d.trailerOK = true
-			sink.Finish(tr.Header)
+			if sink != nil {
+				sink.Finish(tr.Header)
+			}
 			return tr, nil
 		case kindHeader:
 			return Trailer{}, d.fail(ErrCorrupt, "duplicate header frame")
@@ -416,10 +453,10 @@ func (d *Decoder) deliver(sink trace.Sink, batch []trace.Miss, base int64) {
 
 // Symbols returns the symbol table carried by the stream's trailer, for
 // module attribution of replayed records — the read-only accessor behind
-// `tsquery show` and `tstrace -replay`. It is valid once Run (or
-// RunRange) has consumed the trailer; before that, and for streams whose
-// trailer carried no symbols (network sessions), it returns the empty
-// static table, on which every FuncID resolves to "<unknown>".
+// `tsquery show` and `tstrace -replay`. It is valid once Run, RunRange
+// or ScanTrailer has consumed the trailer; before that, and for streams
+// whose trailer carried no symbols (network sessions), it returns the
+// empty static table, on which every FuncID resolves to "<unknown>".
 func (d *Decoder) Symbols() *trace.SymbolTable {
 	if !d.trailerOK {
 		return trace.NewStaticSymbolTable(nil)

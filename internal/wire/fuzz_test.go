@@ -3,6 +3,7 @@ package wire_test
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/trace"
@@ -24,6 +25,12 @@ func FuzzDecoder(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		// The trailer scan must classify its errors the same way and,
+		// on any stream the full decode accepts, find the same trailer.
+		scanned, scanErr := wire.NewDecoder(bytes.NewReader(data)).ScanTrailer()
+		if scanErr != nil && !errors.Is(scanErr, wire.ErrTruncated) && !errors.Is(scanErr, wire.ErrCorrupt) {
+			t.Fatalf("scan error %v wraps neither ErrTruncated nor ErrCorrupt", scanErr)
+		}
 		var sink recordingSink
 		trailer, err := wire.NewDecoder(bytes.NewReader(data)).Run(&sink)
 		if err != nil {
@@ -34,6 +41,9 @@ func FuzzDecoder(f *testing.F) {
 				t.Fatalf("error %v wraps neither ErrTruncated nor ErrCorrupt", err)
 			}
 			return
+		}
+		if scanErr != nil || !reflect.DeepEqual(scanned, trailer) {
+			t.Fatalf("trailer scan (%v) disagrees with the accepting decode", scanErr)
 		}
 		if len(sink.finishes) != 1 {
 			t.Fatalf("successful decode delivered %d Finish calls", len(sink.finishes))

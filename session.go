@@ -37,7 +37,11 @@ type StreamOptions struct {
 // analyzer in bursts rather than per record keeps the grammar's tables hot
 // across consecutive symbols instead of competing with the simulator's
 // memory traffic on every miss; 32k records is 512 KB — still O(1) per
-// context, far below any analysis window.
+// context, far below any analysis window. The buffer belongs to the
+// pooled unit a Session checks out with its analyzer: it grows by append
+// only as far as records are actually buffered (sessions fed whole
+// decoded frames buffer just a stream's final partial frame) and is
+// reused by every later session that draws the same unit.
 const streamChunk = 32768
 
 // ErrSessionAborted is returned by Session.Close when the session is
@@ -81,13 +85,14 @@ const (
 // message naming the violation, rather than corrupting or dereferencing
 // the already-returned analyzer.
 type Session struct {
-	chunk []trace.Miss
+	// sessionUnit is the pooled analyzer plus chunk buffer, nil once
+	// Result or Close has returned it.
+	*sessionUnit
 	// inert is set once every consumer is saturated (analysis window full,
 	// no prefetcher, no kept trace): the remaining records need no work at
 	// all, exactly as a batch analysis' truncation never reads them.
 	inert  bool
 	state  sessionState
-	an     *core.Analyzer
 	ev     *prefetch.Evaluator
 	tr     *trace.Trace
 	header trace.Header
@@ -109,10 +114,7 @@ var _ trace.BatchSink = (*Session)(nil)
 // cpus-processor machine; expect is the anticipated window length, used
 // purely to presize storage (0 is fine: storage grows on demand).
 func NewSession(cpus, expect int, opts StreamOptions) *Session {
-	s := &Session{
-		chunk: make([]trace.Miss, 0, streamChunk),
-		an:    getAnalyzer(),
-	}
+	s := &Session{sessionUnit: getUnit()}
 	s.an.Begin(cpus, opts.Analysis)
 	s.an.Grow(expect)
 	if opts.Prefetch != nil {
@@ -140,7 +142,7 @@ func (s *Session) Append(m trace.Miss) {
 		return
 	}
 	s.chunk = append(s.chunk, m)
-	if len(s.chunk) == cap(s.chunk) {
+	if len(s.chunk) == streamChunk {
 		s.flush()
 	}
 }
@@ -209,10 +211,10 @@ func (s *Session) AppendBatch(ms []trace.Miss) {
 		return
 	}
 	for len(ms) > 0 && !s.inert {
-		n := min(cap(s.chunk)-len(s.chunk), len(ms))
+		n := min(streamChunk-len(s.chunk), len(ms))
 		s.chunk = append(s.chunk, ms[:n]...)
 		ms = ms[n:]
-		if len(s.chunk) == cap(s.chunk) {
+		if len(s.chunk) == streamChunk {
 			s.flush()
 		}
 	}
@@ -233,9 +235,10 @@ func (s *Session) Finish(h trace.Header) {
 }
 
 // Result completes the session's analyses — the derivation walk and
-// reuse-distance sweep run here — and returns the pooled analyzer. st may
-// be nil when no symbol table accompanies the stream (network sessions);
-// category attribution is then unavailable on the result. Result must be
+// reuse-distance sweep run here — and returns the pooled analyzer and
+// chunk buffer. st may be nil when no symbol table accompanies the
+// stream (network sessions); category attribution is then unavailable
+// on the result. Result must be
 // called exactly once, after Finish; calling it early, twice, or after
 // Close panics.
 func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
@@ -251,8 +254,8 @@ func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
 		Analysis: s.an.Finish(),
 		SymTab:   st,
 	}
-	putAnalyzer(s.an)
-	s.an = nil
+	putUnit(s.sessionUnit)
+	s.sessionUnit = nil
 	s.state = sessionClosed
 	if s.ev != nil {
 		r := s.ev.Result()
@@ -262,17 +265,17 @@ func (s *Session) Result(st *trace.SymbolTable) *ContextResult {
 }
 
 // Close releases the session without computing results, returning the
-// pooled analyzer to the pool. It is the error-path counterpart of
-// Result — a cancelled simulation or a network stream that died
+// pooled analyzer and chunk buffer to the pool. It is the error-path
+// counterpart of Result — a cancelled simulation or a network stream that died
 // mid-flight closes its sessions — and the only Session method that is
 // safe to call in any state: closing an already-closed (or Result-ed)
 // session is a no-op. Close reports ErrSessionAborted when it discarded
 // an unfinished stream, and nil when the session had already completed
 // its lifecycle or had finished its stream without a Result call.
 func (s *Session) Close() error {
-	if s.an != nil {
-		putAnalyzer(s.an)
-		s.an = nil
+	if s.sessionUnit != nil {
+		putUnit(s.sessionUnit)
+		s.sessionUnit = nil
 	}
 	aborted := s.state == sessionOpen
 	s.state = sessionClosed

@@ -2,10 +2,12 @@ package tempstream
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/trace"
+	"repro/internal/trace/sinktest"
 )
 
 // mustPanic runs fn and asserts it panics with a message containing
@@ -110,5 +112,38 @@ func TestSessionCloseBalancesPool(t *testing.T) {
 	resulted.Close()
 	if got := analyzersOut.Load(); got != base {
 		t.Errorf("checked-out analyzers after Close = %d, want %d", got, base)
+	}
+}
+
+// TestSessionRecycledChunkAfterClose closes a Session with records still
+// in its chunk buffer, so the pooled unit goes back dirty, then runs a
+// second stream through new Sessions: each result must equal the one a
+// clean Session produced before, with no stale record of the aborted
+// stream fed ahead of the new one.
+func TestSessionRecycledChunkAfterClose(t *testing.T) {
+	const cpus = 4
+	aborted := sinktest.Misses(9000, cpus)
+	ms := sinktest.Misses(6000, cpus)[1000:]
+	h := sinktest.Header(len(ms), cpus)
+	run := func() *ContextResult {
+		s := NewSession(cpus, 0, StreamOptions{})
+		s.AppendBatch(ms[:100]) // small batches take the chunk buffer
+		for _, m := range ms[100:200] {
+			s.Append(m)
+		}
+		s.AppendBatch(ms[200:])
+		s.Finish(h)
+		return s.Result(nil)
+	}
+	want := run()
+	for i := range 4 {
+		s := NewSession(cpus, 0, StreamOptions{})
+		s.AppendBatch(aborted[:1000+i*500])
+		if err := s.Close(); !errors.Is(err, ErrSessionAborted) {
+			t.Fatalf("Close mid-stream = %v, want ErrSessionAborted", err)
+		}
+		if got := run(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: result after a mid-stream Close differs from a clean Session's", i)
+		}
 	}
 }

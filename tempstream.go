@@ -197,31 +197,57 @@ func (e *Experiment) Context(c Context) *ContextResult {
 	return e.Contexts[c]
 }
 
-// analyzerPool recycles core.Analyzer instances (grammar slab, digram
-// index, stride tables, walker scratch) across contexts, requests, and
-// Runner instances. analyzersOut counts instances currently checked out;
-// the cancellation-hygiene tests assert it returns to zero, so no code
-// path — including a cancelled sweep — can strand an analyzer.
+// sessionUnit is what a Session checks out of the pool: the analyzer
+// (grammar slab, digram index, stride tables, walker scratch) and the
+// Session's chunk buffer. The chunk starts nil, grows only as far as a
+// session buffers records, and then travels with the analyzer, so a
+// unit pays for it once, not every session. unitPool recycles units
+// across contexts, requests, and Runner instances; analyzersOut counts
+// units currently checked out, and the cancellation-hygiene tests assert
+// it returns to zero, so no code path — including a cancelled sweep —
+// can strand an analyzer or its buffer.
+//
+// spareUnit fronts the pool with one process-wide slot. sync.Pool keeps
+// a lone returned item in the returning P's private slot, which a Get on
+// another P cannot reach, so sessions that run one after another — an
+// archive query over a selection, a server taking sessions in turn —
+// would rebuild a unit whenever the scheduler moved them between Ps.
+// The slot is not cleared by GC, so it keeps at most one idle unit
+// alive for the life of the process.
+type sessionUnit struct {
+	an    *core.Analyzer
+	chunk []trace.Miss
+}
+
 var (
-	analyzerPool = sync.Pool{New: func() any { return core.NewAnalyzer() }}
+	unitPool     = sync.Pool{New: func() any { return &sessionUnit{an: core.NewAnalyzer()} }}
+	spareUnit    atomic.Pointer[sessionUnit]
 	analyzersOut atomic.Int64
 )
 
-func getAnalyzer() *core.Analyzer {
+func getUnit() *sessionUnit {
 	analyzersOut.Add(1)
-	return analyzerPool.Get().(*core.Analyzer)
+	if u := spareUnit.Swap(nil); u != nil {
+		return u
+	}
+	return unitPool.Get().(*sessionUnit)
 }
 
-func putAnalyzer(an *core.Analyzer) {
-	analyzerPool.Put(an)
+// putUnit returns u to the pool with its chunk emptied, so the next
+// session never sees a previous stream's buffered records.
+func putUnit(u *sessionUnit) {
+	u.chunk = u.chunk[:0]
+	if !spareUnit.CompareAndSwap(nil, u) {
+		unitPool.Put(u)
+	}
 	analyzersOut.Add(-1)
 }
 
-// AnalyzersInFlight reports how many pooled analyzers are currently
-// checked out. It exists for hygiene assertions in other packages'
-// tests (the ingest server parks live sessions across connections, and
-// its tests prove parked state cannot strand an analyzer); production
-// code has no business reading it.
+// AnalyzersInFlight reports how many pooled analyzers, each with its
+// Session chunk buffer, are currently checked out. It exists for hygiene
+// assertions in other packages' tests (the ingest server parks live
+// sessions across connections, and its tests prove parked state cannot
+// strand an analyzer); production code has no business reading it.
 func AnalyzersInFlight() int64 { return analyzersOut.Load() }
 
 // headerOf derives a window header from a materialized trace.
