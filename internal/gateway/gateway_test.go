@@ -425,3 +425,24 @@ func TestGatewayProbeAggregate(t *testing.T) {
 		t.Errorf("ActiveSessions = %d, want 0 (probes take no slot)", st.ActiveSessions)
 	}
 }
+
+// TestGatewayReleasesBackendBeforeAnswer: by the time a client holds its
+// result, the gateway has released the session's backend slot. A slot
+// still held would count against the owner's bounded-load cap and route
+// the client's next session for the same key to another backend.
+func TestGatewayReleasesBackendBeforeAnswer(t *testing.T) {
+	addrs, _ := startFleet(t, 3)
+	gw := startGateway(t, testConfig(addrs))
+	waitHealthy(t, gw, 3)
+
+	misses := synthMisses(2000, 2, 7)
+	for i := 0; i < 5; i++ {
+		feedSession(t, gw.Addr().String(), server.Request{Label: "sticky"}, misses, 2)
+		st := gw.Stats()
+		for _, b := range st.Backends {
+			if b.ActiveSessions != 0 {
+				t.Fatalf("session %d: backend %s still holds %d sessions after the answer", i, b.Addr, b.ActiveSessions)
+			}
+		}
+	}
+}

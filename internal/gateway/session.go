@@ -334,19 +334,22 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 			g.totalRelayedOK.Add(1)
 			g.log.Info("session relayed", "session", sess.id, "key", sess.key,
 				"frames", sess.framesIn, "reroutes", sess.reroutes)
-			cw.writeRaw(respLine) // best effort; resumable clients can re-collect
+			// The backend's part is over, and only the response line can
+			// ever be redelivered. Release the load slot and the replay
+			// ring before the client can read the answer: a slot still held
+			// would count against the owner's bounded-load cap and route the
+			// client's next session for this key off its hash owner.
+			g.detach(sess)
+			g.releaseFrames(sess)
 			if sess.resumable {
 				// Park the completed result for redelivery, as the server
 				// does: a client whose response line was lost resumes and
-				// collects it instead of failing with resume_unknown. Only
-				// the response line can ever be redelivered, so the replay
-				// ring's frames are dead weight — release them now.
-				g.detach(sess)
-				g.releaseFrames(sess)
+				// collects it instead of failing with resume_unknown.
 				sess.doneLine = respLine
 				g.park(sess)
 				parked = true
 			}
+			cw.writeRaw(respLine) // best effort; resumable clients can re-collect
 			return
 		}
 	}
@@ -643,9 +646,11 @@ func (g *Gateway) expirePark(sess *gwSession, gen int) {
 	}
 	delete(g.parked, sess.token)
 	g.mu.Unlock()
-	g.totalExpired.Add(1)
 	g.detach(sess)
 	g.releaseFrames(sess)
+	// Count the expiry only once its slot and ring are released, so a
+	// reader that sees the count also sees the gauges it moved.
+	g.totalExpired.Add(1)
 	g.log.Info("parked session expired", "session", sess.id, "key", sess.key, "frames", sess.framesIn)
 }
 

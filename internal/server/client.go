@@ -25,6 +25,10 @@ const (
 	// defaultReadTimeout bounds the response read, which spans the
 	// server's final analysis of the stream.
 	defaultReadTimeout = 5 * time.Minute
+	// pendingReplyTimeout bounds the read for a server's answer after a
+	// stream write failed: a peer that rejected the session has already
+	// written it, so it is either in the socket buffer or never coming.
+	pendingReplyTimeout = time.Second
 )
 
 // deadlineConn arms a fresh deadline before every Read and Write, so
@@ -33,6 +37,9 @@ const (
 type deadlineConn struct {
 	net.Conn
 	read, write time.Duration
+	// werr is the first failed Write: the stream broke on the transport,
+	// not on a local encoding fault.
+	werr error
 }
 
 func (c *deadlineConn) Read(p []byte) (int, error) {
@@ -50,7 +57,11 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 			return 0, err
 		}
 	}
-	return c.Conn.Write(p)
+	n, err := c.Conn.Write(p)
+	if err != nil && c.werr == nil {
+		c.werr = err
+	}
+	return n, err
 }
 
 // ClientSession is the client half of one ingest session: a trace.Sink
@@ -78,6 +89,12 @@ type ClientSession struct {
 // DialSession opens a connection to a tsserved ingest address and
 // negotiates one session for a cpus-processor miss stream. The request's
 // analysis options and prefetch config select what the server computes.
+//
+// A server that rejects the request answers and closes at once, so the
+// stream's first frames may already meet a closed socket. Such a write
+// failure does not fail the dial: the encoder keeps it, Append and Finish
+// become no-ops, and Result reports the server's typed answer in its
+// place.
 func DialSession(addr string, cpus int, req Request) (*ClientSession, error) {
 	conn, err := net.DialTimeout("tcp", addr, defaultDialTimeout)
 	if err != nil {
@@ -99,7 +116,7 @@ func DialSession(addr string, cpus int, req Request) (*ClientSession, error) {
 		enc:  wire.NewEncoder(dc, cpus),
 		br:   bufio.NewReader(dc),
 	}
-	if err := c.enc.Err(); err != nil {
+	if err := c.enc.Err(); err != nil && dc.werr == nil {
 		conn.Close()
 		return nil, err
 	}
@@ -140,7 +157,10 @@ func (c *ClientSession) Result() (*SessionResult, error) {
 	defer c.conn.Close()
 	if err := c.enc.Close(); err != nil {
 		c.err = err
-		return nil, err
+		if c.dc.werr != nil {
+			c.err = c.pendingReply(err)
+		}
+		return nil, c.err
 	}
 	line, err := c.br.ReadBytes('\n')
 	if err != nil {
@@ -162,6 +182,23 @@ func (c *ClientSession) Result() (*SessionResult, error) {
 	}
 	c.resp = resp.Result
 	return c.resp, nil
+}
+
+// pendingReply reports why a stream write failed. A server that rejected
+// the session wrote its answer before closing, so a typed error line in
+// the socket buffer explains the broken write better than the write
+// error itself; without one, werr stands.
+func (c *ClientSession) pendingReply(werr error) error {
+	c.dc.read = pendingReplyTimeout
+	line, err := c.br.ReadBytes('\n')
+	if err != nil {
+		return werr
+	}
+	var resp Response
+	if json.Unmarshal(line, &resp) != nil || resp.Error == "" {
+		return werr
+	}
+	return fmt.Errorf("client: server: %s", resp.Error)
 }
 
 // Close abandons the session without waiting for a result (error paths).

@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -61,6 +62,13 @@ var errRequestTooLarge = fmt.Errorf("request exceeds %d bytes", requestLimit)
 // finishedTTL is how long a completed session stays visible in Stats
 // before being pruned from the table.
 const finishedTTL = time.Minute
+
+// A failed connection lingers before it closes (see linger): at most
+// lingerTimeout, discarding at most lingerBytes of the peer's input.
+const (
+	lingerTimeout = time.Second
+	lingerBytes   = 1 << 20
+)
 
 // Prefetch-config ceilings: a server session never evaluates the
 // idealized unbounded prefetcher (HistoryLen/BufferBlocks 0), because its
@@ -285,6 +293,11 @@ type session struct {
 
 	state   atomic.Pointer[string]
 	records atomic.Int64
+	// slot is set once the session holds one of Server.slots. handle
+	// returns it only after the session has left StateReceiving, so Stats
+	// never counts more receiving sessions than MaxSessions. Touched on
+	// the session's goroutine only.
+	slot bool
 	// Final summary for the stats endpoint, set under Server.mu once done.
 	streamFrac float64
 	mpki       float64
@@ -668,6 +681,9 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	sess.finished = time.Now()
 	s.mu.Unlock()
+	if sess.slot {
+		<-s.slots
+	}
 
 	dur := sess.finished.Sub(sess.started).Seconds()
 	attrs := []any{
@@ -691,6 +707,26 @@ func (s *Server) handle(conn net.Conn) {
 	}
 
 	cw.writeLine(resp) // best effort: the peer may be gone
+	if fail != nil {
+		linger(conn)
+	}
+}
+
+// linger is a lingering close's first half, for a connection that failed
+// while its peer may still be sending (a rejected request is answered
+// before the stream behind it is read). Closing with unread input would
+// reset the connection, and the reset can beat the response to the
+// peer's next write, which then fails without the answer. So linger
+// half-closes the write side, letting the response travel ahead of a FIN,
+// and discards input until the peer closes or a bound is reached. The
+// caller closes the connection.
+func linger(conn net.Conn) {
+	cw, ok := conn.(interface{ CloseWrite() error })
+	if !ok || cw.CloseWrite() != nil {
+		return
+	}
+	conn.SetReadDeadline(time.Now().Add(lingerTimeout))
+	io.CopyN(io.Discard, conn, lingerBytes)
 }
 
 // runSession negotiates, acquires a slot, and streams the connection's
@@ -827,7 +863,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 			return nil, nil, &sessionFailure{code: CodeStream, err: cause}
 		}
 	}
-	defer func() { <-s.slots }()
+	sess.slot = true
 	sess.setState(StateReceiving)
 
 	// Resumable sessions get their hello (token, replay position) only

@@ -1,8 +1,11 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"math/rand"
 	"net"
 	"reflect"
@@ -309,6 +312,76 @@ func TestServerRejectsNegativeWindow(t *testing.T) {
 	cs.Finish(trace.Header{CPUs: 2})
 	if _, err := cs.Result(); err == nil || !strings.Contains(err.Error(), "negative") {
 		t.Errorf("negative window err = %v, want rejection", err)
+	}
+}
+
+// TestClientReadsRejectionAfterBrokenWrite pins the client's half of an
+// early rejection: a peer that answers the request line and closes at
+// once, with the stream still unread, resets the connection, so the
+// client's next writes fail. Result must still report the peer's typed
+// answer, not the broken pipe.
+func TestClientReadsRejectionAfterBrokenWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	closed := make(chan struct{})
+	go func() {
+		defer close(closed)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		bufio.NewReader(conn).ReadBytes('\n')
+		conn.Write([]byte(`{"error":"stub rejects every session","code":"bad_request"}` + "\n"))
+		conn.Close()
+	}()
+	cs, err := server.DialSession(ln.Addr().String(), 2, server.Request{})
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	<-closed
+	// Keep writing until the reset has surely arrived: the first write
+	// after the close draws the reset, later ones fail on it.
+	for _, m := range synthMisses(20000, 2, 5) {
+		cs.Append(m)
+	}
+	cs.Finish(trace.Header{CPUs: 2})
+	if _, err := cs.Result(); err == nil || !strings.Contains(err.Error(), "stub rejects every session") {
+		t.Errorf("err = %v, want the stub's rejection", err)
+	}
+}
+
+// TestServerLingersAfterRejection pins the server's half: after
+// answering a rejected request it half-closes and drains, so a client
+// still streaming sees the answer and a clean EOF instead of a reset.
+func TestServerLingersAfterRejection(t *testing.T) {
+	srv := startServer(t, server.Config{})
+	conn, err := net.Dial("tcp", srv.Addr().String())
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	req, _ := json.Marshal(server.Request{Analysis: core.Options{MaxMisses: -1}})
+	if _, err := conn.Write(append(req, '\n')); err != nil {
+		t.Fatalf("writing request: %v", err)
+	}
+	br := bufio.NewReader(conn)
+	line, err := br.ReadBytes('\n')
+	if err != nil || !bytes.Contains(line, []byte("negative")) {
+		t.Fatalf("response %q, %v: want the negative-window rejection", line, err)
+	}
+	junk := make([]byte, 32<<10)
+	for i := 0; i < 4; i++ {
+		if _, err := conn.Write(junk); err != nil {
+			t.Fatalf("write %d after the rejection: %v (want the server to drain, not reset)", i, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if n, err := br.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("read after the response = %d, %v; want io.EOF from the half-close", n, err)
 	}
 }
 

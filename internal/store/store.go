@@ -127,12 +127,6 @@ type Entry struct {
 // File returns the entry's archive file name (within the store dir).
 func (e Entry) File() string { return e.ID + ArchiveExt }
 
-// manifest is the on-disk index shape.
-type manifest struct {
-	Version int     `json:"version"`
-	Entries []Entry `json:"entries"`
-}
-
 // Store is an open archive warehouse. All methods are safe for
 // concurrent use; cross-process safety comes from the lockfile protocol
 // around manifest commits.
@@ -161,16 +155,34 @@ func Open(dir string) (*Store, []error, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	var bad []error
-	for _, e := range m.Entries {
-		if reason := s.entryDamage(e); reason != "" {
-			bad = append(bad, &CorruptError{ID: e.ID, Reason: reason})
-			continue
-		}
-		s.entries = append(s.entries, e)
-	}
+	bad := s.adopt(m.Entries)
 	sortEntries(s.entries)
 	return s, bad, nil
+}
+
+// adopt replaces the working set with entries, stat-checking each entry
+// the working set did not already hold and dropping those that fail;
+// their failures are returned as *CorruptError values. Open checks every
+// entry this way; a commit checks only the entries it, or another
+// writer, added — an entry Open dropped stays dropped.
+func (s *Store) adopt(entries []Entry) []error {
+	held := make(map[string]bool, len(s.entries))
+	for _, e := range s.entries {
+		held[e.ID] = true
+	}
+	var bad []error
+	keep := s.entries[:0]
+	for _, e := range entries {
+		if !held[e.ID] {
+			if reason := s.entryDamage(e); reason != "" {
+				bad = append(bad, &CorruptError{ID: e.ID, Reason: reason})
+				continue
+			}
+		}
+		keep = append(keep, e)
+	}
+	s.entries = keep
+	return bad
 }
 
 // entryDamage returns a non-empty reason when e's archive file fails the
@@ -259,25 +271,6 @@ func sortEntries(es []Entry) {
 	})
 }
 
-// readManifest loads dir's manifest; a missing file is an empty store.
-func readManifest(dir string) (manifest, error) {
-	var m manifest
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return manifest{Version: manifestVersion}, nil
-	}
-	if err != nil {
-		return m, fmt.Errorf("store: reading manifest: %w", err)
-	}
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return m, fmt.Errorf("store: manifest is not valid JSON: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return m, fmt.Errorf("store: manifest version %d, want %d", m.Version, manifestVersion)
-	}
-	return m, nil
-}
-
 // withLock runs fn holding the store's cross-process lockfile (plus the
 // in-process mutex, so one Store's writers serialize without spinning on
 // the filesystem). A lock older than lockStale is broken — its holder
@@ -312,7 +305,7 @@ func (s *Store) withLock(fn func() error) error {
 
 // commitManifest re-reads the manifest from disk, applies mutate to its
 // entries, and atomically replaces it; the caller holds the lock. The
-// Store's cached working set is replaced with the result.
+// Store's working set then adopts the result.
 func (s *Store) commitManifest(mutate func(entries []Entry) []Entry) error {
 	m, err := readManifest(s.dir)
 	if err != nil {
@@ -334,7 +327,7 @@ func (s *Store) commitManifest(mutate func(entries []Entry) []Entry) error {
 		return fmt.Errorf("store: committing manifest: %w", err)
 	}
 	syncDir(s.dir)
-	s.entries = append(s.entries[:0], m.Entries...)
+	s.adopt(m.Entries)
 	return nil
 }
 

@@ -251,6 +251,42 @@ func TestCorruptArchiveTypedErrors(t *testing.T) {
 	}
 }
 
+// TestCommitKeepsDamagedEntriesOut pins that an entry Open dropped as
+// damaged stays out of the working set after this Store's next Commit
+// and Prune: those re-read the manifest, which still indexes it.
+func TestCommitKeepsDamagedEntriesOut(t *testing.T) {
+	dir := t.TempDir()
+	s := openStore(t, dir)
+	const n, cpus = 2000, 2
+	ms, h := sinktest.Misses(n, cpus), sinktest.Header(n, cpus)
+	writeArchive(t, s, store.Meta{App: "oltp", Label: "kept"}, ms, h, nil)
+	gone := writeArchive(t, s, store.Meta{App: "oltp", Label: "gone"}, ms, h, nil)
+	if err := os.Remove(filepath.Join(dir, gone.File())); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, damaged, err := store.Open(dir)
+	if err != nil || len(damaged) != 1 || s2.Archives() != 1 {
+		t.Fatalf("Open: err %v, damaged %v, %d archives; want 1 damaged, 1 archive", err, damaged, s2.Archives())
+	}
+	writeArchive(t, s2, store.Meta{App: "oltp", Label: "new"}, ms, h, nil)
+	if got := s2.Archives(); got != 2 {
+		t.Fatalf("after Commit: %d archives, want 2 (the damaged entry stays dropped)", got)
+	}
+	if _, ok := s2.Entry(gone.ID); ok {
+		t.Fatalf("damaged entry %s re-entered the working set", gone.ID)
+	}
+	if res, errs := s2.Analyze(store.Query{}, tempstreamOptions()); len(errs) != 0 || len(res) != 2 {
+		t.Fatalf("Analyze after Commit: %d results, errors %v; want 2 results, no errors", len(res), errs)
+	}
+	if _, err := s2.Prune(store.Retention{MaxBytes: 1 << 40}, time.Now()); err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.Archives(); got != 2 {
+		t.Fatalf("after Prune: %d archives, want 2", got)
+	}
+}
+
 // TestConcurrentWriters commits from many goroutines across two Store
 // instances on the same directory (the cross-process image) and checks
 // no manifest entry is lost. Run under -race in CI.
