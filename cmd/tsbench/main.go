@@ -13,8 +13,12 @@
 //	tsbench -bench Simulation -benchtime 5x -count 3   # forwarded to go test
 //	tsbench -in bench.txt -gate BENCH_1.json           # regression gate against a baseline
 //
+// Repeated lines of one benchmark (go test -count N) collapse into one
+// entry holding each metric's median over the runs, with "runs" recording
+// N and "spread" each metric's interquartile range over its median.
+//
 // -gate turns the run into a regression gate: after writing the
-// artifact, the named throughput keys (-gate-keys, default the ingest
+// artifact, the named throughput keys (medians, for repeated benchmarks) (-gate-keys, default the ingest
 // and streaming-collect rates) are compared against the baseline
 // artifact, and the process exits 1 if any regressed by more than
 // -gate-band (default 25% — wide enough for shared-runner noise on 1x
@@ -37,6 +41,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"syscall"
@@ -45,12 +50,18 @@ import (
 	"repro/internal/cli"
 )
 
-// BenchResult is one benchmark line, parsed.
+// BenchResult is one benchmark, parsed: a single line, or the medians of
+// the lines a repeated benchmark printed.
 type BenchResult struct {
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	// Runs is the number of lines collapsed into this entry (omitted for
+	// one), and Spread each metric's interquartile range over its median
+	// across them ("ns/op" for NsPerOp), omitted where the median is 0.
+	Runs   int                `json:"runs,omitempty"`
+	Spread map[string]float64 `json:"spread,omitempty"`
 }
 
 // Artifact is the whole trajectory record. GoMaxProcs and NumCPU pin
@@ -110,7 +121,69 @@ func parseBench(r io.Reader) []BenchResult {
 		}
 		out = append(out, res)
 	}
+	return collapse(out)
+}
+
+// collapse folds the lines of each repeated benchmark into one entry, in
+// order of first appearance: every metric becomes its median over the
+// lines that report it, and Spread its interquartile range over the
+// median. Benchmarks that ran once pass through unchanged.
+func collapse(lines []BenchResult) []BenchResult {
+	var order []string
+	runs := map[string][]BenchResult{}
+	for _, r := range lines {
+		if runs[r.Name] == nil {
+			order = append(order, r.Name)
+		}
+		runs[r.Name] = append(runs[r.Name], r)
+	}
+	out := make([]BenchResult, 0, len(order))
+	for _, name := range order {
+		rs := runs[name]
+		if len(rs) == 1 {
+			out = append(out, rs[0])
+			continue
+		}
+		res := BenchResult{Name: name, Runs: len(rs), Spread: map[string]float64{}}
+		samples := map[string][]float64{}
+		var iters []float64
+		for _, r := range rs {
+			iters = append(iters, float64(r.Iterations))
+			samples["ns/op"] = append(samples["ns/op"], r.NsPerOp)
+			for k, v := range r.Metrics {
+				samples[k] = append(samples[k], v)
+			}
+		}
+		res.Iterations = int64(quantile(iters, 0.5))
+		for k, xs := range samples {
+			med := quantile(xs, 0.5)
+			if k == "ns/op" {
+				res.NsPerOp = med
+			} else {
+				if res.Metrics == nil {
+					res.Metrics = map[string]float64{}
+				}
+				res.Metrics[k] = med
+			}
+			if med != 0 {
+				res.Spread[k] = (quantile(xs, 0.75) - quantile(xs, 0.25)) / med
+			}
+		}
+		out = append(out, res)
+	}
 	return out
+}
+
+// quantile returns the q-quantile of xs, interpolating linearly between
+// the two nearest ranks. xs is sorted in place.
+func quantile(xs []float64, q float64) float64 {
+	sort.Float64s(xs)
+	pos := q * float64(len(xs)-1)
+	lo := int(pos)
+	if lo+1 >= len(xs) {
+		return xs[lo]
+	}
+	return xs[lo] + (pos-float64(lo))*(xs[lo+1]-xs[lo])
 }
 
 // nextArtifactPath finds the first unused BENCH_<n>.json in dir. Any stat
@@ -137,7 +210,9 @@ const defaultGateKeys = "BenchmarkIngestServer:records/sec,BenchmarkStreamingCol
 
 // gate compares the named higher-is-better metrics of the current run
 // against a baseline artifact and returns the regressions (worse by
-// more than band, a fraction). Keys are "BenchName:metric" pairs.
+// more than band, a fraction). Keys are "BenchName:metric" pairs. A
+// repeated benchmark's entries already hold medians on both sides, so
+// the gate compares medians.
 // Benchmarks absent from the baseline are skipped (a new benchmark has
 // no trajectory yet); keys absent from the current run are regressions
 // by definition.

@@ -17,18 +17,19 @@
 //   - 2-way sets (the L1s, the hottest arrays in the simulator): LRU is a
 //     single MRU byte per set — the victim is the other way — and the
 //     read-hit path is two tag compares plus a one-byte store.
-//   - 16-way sets (the L2s): a 64-byte per-set header holds 16-bit tag
-//     signatures, recency rank bytes (byte w = rank of way w, 0 = MRU)
-//     updated with branch-free SWAR arithmetic, and the valid mask. The
-//     simulated address spaces are compact, so the 16-bit signature is
-//     the EXACT tag above the set index (Fill enforces this) and a
-//     probe+touch reads and writes one host cache line without ever
-//     walking the 16 tag words.
+//   - 16-way sets (the L2s): a 32-byte per-set header holds the recency
+//     rank bytes (byte w = rank of way w, 0 = MRU), updated with
+//     branch-free SWAR arithmetic, and the valid mask. The simulators
+//     never search an L2 set: their coherence state (the DSM directory's
+//     sharer bits, the CMP presence vector's L2 way byte) records the
+//     way of every resident block exactly, so they address the line
+//     directly with Line(block, way) and a touch writes only the header.
 //   - other widths (tests): one SWAR rank word per set plus a valid mask.
 //
-// Free ways come from the valid mask (or the tag words themselves for
-// 2-way sets), so a miss-then-fill sequence (Probe/ReadHit + Fill) scans
-// each set at most once.
+// Block-keyed lookups (Probe, ReadHit, Invalidate, ...) scan the set's tag
+// words at every width. Free ways come from the valid mask (or the tag
+// words themselves for 2-way sets), so a miss-then-fill sequence
+// (Probe/ReadHit + Fill) scans each set at most once.
 package cache
 
 import (
@@ -76,27 +77,24 @@ const (
 	blockMask  = uint64(1)<<stateShift - 1
 )
 
-// MaxWays bounds associativity: the per-set metadata (signatures, rank
-// bytes, valid mask) is laid out for at most 16 ways.
+// MaxWays bounds associativity: the per-set metadata (rank bytes, valid
+// mask) is laid out for at most 16 ways.
 const MaxWays = 16
 
-// SWAR constants: byte lanes and 16-bit lanes.
+// SWAR constants: byte lanes.
 const (
-	l8  = 0x0101010101010101
-	h8  = 0x8080808080808080
-	l16 = 0x0001000100010001
-	h16 = 0x8000800080008000
+	l8 = 0x0101010101010101
+	h8 = 0x8080808080808080
 )
 
-// Wide-set header layout: one 64-byte (cache-line sized) record per set
-// holding everything a probe+touch needs — 16-bit tag signatures, rank
-// bytes, and the valid mask — so the hot wide-set operations read and
-// write a single host cache line and only consult the tag array when a
-// line's full block number or state is actually needed.
+// Wide-set header layout: one 32-byte record per set holding what a touch
+// or a fill needs — rank bytes and the valid mask — so those operations
+// write a single host cache line and read the tag array only for the
+// victim's block number and state.
 const (
-	metaStride = 64 // bytes 0..31 sig16s, 32..47 rank bytes, 48..49 valid
-	metaRanks  = 32
-	metaValid  = 48
+	metaStride = 32 // bytes 0..15 rank bytes, 16..17 valid
+	metaRanks  = 0
+	metaValid  = 16
 )
 
 // Config sizes a cache.
@@ -113,23 +111,21 @@ func (c Config) Sets() int { return c.Bytes / ((1 << c.BlockBits) * c.Ways) }
 // call New.
 type Cache struct {
 	cfg       Config
-	sets      int
 	setMask   uint64
-	setBits   uint // log2(sets)
 	ways      int
 	waysShift uint     // log2(ways): line i belongs to set i>>waysShift
 	fullMask  uint16   // all ways valid
 	lines     []uint64 // packed state|block words, 0 == invalid
 	mru       []uint8  // 2-way sets: most recently used way (LRU = 1-mru)
 	ranks     []uint64 // 3..8-way sets: one rank word per set
-	meta      []uint8  // wide sets: 32-byte header (signatures + ranks)
+	meta      []uint8  // wide sets: 32-byte header (ranks + valid mask)
 	valid     []uint16 // per-set bitmask of valid ways (unused for 2-way)
 
 	// Statistics.
 	Evictions uint64
 }
 
-// wide reports whether the signature-filtered layout is in use.
+// wide reports whether the header layout is in use.
 func (c *Cache) wide() bool { return c.meta != nil }
 
 // New builds a cache. It panics if the geometry is inconsistent (caches are
@@ -147,15 +143,9 @@ func New(cfg Config) *Cache {
 	for 1<<waysShift < cfg.Ways {
 		waysShift++
 	}
-	setBits := uint(0)
-	for 1<<setBits < sets {
-		setBits++
-	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
 		setMask:   uint64(sets - 1),
-		setBits:   setBits,
 		ways:      cfg.Ways,
 		waysShift: waysShift,
 		fullMask:  uint16(1)<<cfg.Ways - 1,
@@ -164,7 +154,7 @@ func New(cfg Config) *Cache {
 	// LRU layout by associativity. 2-way sets (the L1s, the hottest
 	// arrays in the simulator) need only an MRU byte: the victim is the
 	// other way. Mid-width sets keep one rank word; wide sets colocate
-	// rank bytes with the signature filter. Identity initial ranks with
+	// rank bytes with the valid mask. Identity initial ranks with
 	// 0xFF padding (never touched, never the LRU); the initial permutation
 	// is irrelevant for victim choice because invalid ways are always
 	// filled first, and filling touches.
@@ -188,11 +178,12 @@ func New(cfg Config) *Cache {
 	default:
 		c.meta = make([]uint8, sets*metaStride)
 		for set := 0; set < sets; set++ {
-			for w := 0; w < cfg.Ways; w++ {
-				c.meta[set*metaStride+metaRanks+w] = uint8(w)
-			}
-			for w := cfg.Ways; w < 16; w++ {
-				c.meta[set*metaStride+metaRanks+w] = 0xFF
+			for w := 0; w < 16; w++ {
+				r := uint8(0xFF)
+				if w < cfg.Ways {
+					r = uint8(w)
+				}
+				c.meta[set*metaStride+metaRanks+w] = r
 			}
 		}
 	}
@@ -205,59 +196,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // line index helpers
 func (c *Cache) setOf(block uint64) int { return int(block & c.setMask) }
 
-// sigOf returns the 16-bit tag signature used by the wide-set header.
-// Fill guarantees (by panicking otherwise) that block >> setBits fits in
-// 16 bits, so the signature is the EXACT tag above the set index and a
-// signature match needs no verification against the tag array — the
-// simulated address spaces are compact (memmap), far below the
-// 2^(setBits+16)-block ceiling.
-func (c *Cache) sigOf(block uint64) uint64 { return block >> c.setBits }
-
-// sigMatch scans a wide set's header for block's signature, returning the
-// matching way or -1. Only the set's one-line header is read.
-func (c *Cache) sigMatch(off int, block uint64) int {
-	if c.sigOf(block) > 0xFFFF {
-		// Beyond the signature range nothing can be resident (Fill
-		// refuses such blocks), and the truncated signature must not be
-		// allowed to alias a resident line.
-		return -1
-	}
-	sl := c.sigOf(block) * l16
-	valid := uint64(binary.LittleEndian.Uint16(c.meta[off+metaValid:]))
-	for j := 0; j < c.ways*2; j += 8 {
-		z := binary.LittleEndian.Uint64(c.meta[off+j:]) ^ sl
-		// Zero-lane detect: may flag false positives (re-checked against
-		// the register value below), never false negatives.
-		m := (z - l16) & ^z & h16
-		for m != 0 {
-			lane := bits.TrailingZeros64(m) >> 4
-			way := j>>1 + lane
-			if z>>(uint(lane)*16)&0xFFFF == 0 && valid>>uint(way)&1 != 0 {
-				return way
-			}
-			m &= m - 1
-		}
-	}
-	return -1
+// Line returns the line index of way in block's set: the direct address of
+// a block whose way the caller already knows (the simulators keep it in
+// their coherence state), so no tag is compared.
+func (c *Cache) Line(block uint64, way int) int {
+	return c.setOf(block)<<c.waysShift | way
 }
 
-// findWayWide locates block's line index in a wide set, or -1.
-func (c *Cache) findWayWide(block uint64) int {
-	set := int(block & c.setMask)
-	way := c.sigMatch(set*metaStride, block)
-	if way < 0 {
-		return -1
-	}
-	return set<<c.waysShift + way
-}
+// Way returns line i's way within its set.
+func (c *Cache) Way(i int) int { return i & (c.ways - 1) }
 
-// findWay locates block's line index, or -1. Narrow sets (the L1s) scan
-// their one-or-two-cache-line tag array directly; wide sets (the 16-way
-// L2s) go through the signature filter.
+// findWay locates block's line index with a scan of its set's tag words,
+// or returns -1.
 func (c *Cache) findWay(block uint64) int {
-	if c.wide() {
-		return c.findWayWide(block)
-	}
 	base := c.setOf(block) << c.waysShift
 	s := c.lines[base : base+c.ways]
 	for i, w := range s {
@@ -268,17 +219,13 @@ func (c *Cache) findWay(block uint64) int {
 	return -1
 }
 
-// Probe finds block with a single filtered way scan and no LRU effect.
+// Probe finds block with a single way scan and no LRU effect.
 // Callers decide whether the access "uses" the line (Touch); a miss is
 // filled without rescanning by Fill.
 func (c *Cache) Probe(block uint64) (line int, hit bool) {
 	i := c.findWay(block)
 	return i, i >= 0
 }
-
-// Lookup finds block and returns its line index; it is Probe under the
-// seed's original name.
-func (c *Cache) Lookup(block uint64) (int, bool) { return c.Probe(block) }
 
 // readHit2 is the 2-way ReadHit fast path: two tag compares and a
 // one-byte MRU store, small enough to inline into the simulator's access
@@ -297,35 +244,18 @@ func (c *Cache) readHit2(block uint64) bool {
 	return false
 }
 
-// readHitSlow covers the wide (signature-header) and mid-width layouts.
+// readHitSlow covers every layout but the 2-way one: a tag scan, then a
+// touch on a hit.
 func (c *Cache) readHitSlow(block uint64) bool {
-	if c.wide() {
-		// Probe and touch run entirely on the set's one-line header; the
-		// tag array is not read.
-		off := int(block&c.setMask) * metaStride
-		way := c.sigMatch(off, block)
-		if way < 0 {
-			return false
-		}
-		c.touchWide(off, way)
-		return true
+	i := c.findWay(block)
+	if i < 0 {
+		return false
 	}
-	base := c.setOf(block) << c.waysShift
-	s := c.lines[base : base+c.ways]
-	for i, w := range s {
-		if w&blockMask == block && w != 0 {
-			if c.mru != nil {
-				c.mru[base>>c.waysShift] = uint8(i)
-			} else {
-				c.touchNarrow(base>>c.waysShift, i)
-			}
-			return true
-		}
-	}
-	return false
+	c.Touch(i)
+	return true
 }
 
-// ReadHit is the fused hot path for read/fetch accesses: one filtered
+// ReadHit is the fused hot path for read/fetch accesses: one
 // scan that, on a hit, also marks the line most recently used. It reports
 // whether block was resident; on a miss the caller proceeds to the next
 // level and eventually Fills.
@@ -465,15 +395,29 @@ func (c *Cache) SetState(i int, s State) {
 	c.lines[i] = c.lines[i]&blockMask | uint64(s)<<stateShift
 }
 
+// validMask returns set's valid-way mask (not for the 2-way layout, which
+// derives validity from the tag words).
+func (c *Cache) validMask(set int) uint16 {
+	if c.wide() {
+		return binary.LittleEndian.Uint16(c.meta[set*metaStride+metaValid:])
+	}
+	return c.valid[set]
+}
+
+// setValidMask stores set's valid-way mask (not for the 2-way layout).
+func (c *Cache) setValidMask(set int, v uint16) {
+	if c.wide() {
+		binary.LittleEndian.PutUint16(c.meta[set*metaStride+metaValid:], v)
+	} else {
+		c.valid[set] = v
+	}
+}
+
 // clearValid drops way's valid bit in whichever layout tracks it (the
 // 2-way layout derives validity from the tag words and tracks nothing).
 func (c *Cache) clearValid(set, way int) {
-	if c.meta != nil {
-		off := set*metaStride + metaValid
-		v := binary.LittleEndian.Uint16(c.meta[off:])
-		binary.LittleEndian.PutUint16(c.meta[off:], v&^(1<<uint(way)))
-	} else if c.valid != nil {
-		c.valid[set] &^= 1 << uint(way)
+	if c.mru == nil {
+		c.setValidMask(set, c.validMask(set)&^(1<<uint(way)))
 	}
 }
 
@@ -497,33 +441,9 @@ func (c *Cache) Fill(block uint64, s State) (victim Victim, evicted bool, line i
 	}
 	set := c.setOf(block)
 	var way int
-	if c.wide() {
-		if c.sigOf(block) > 0xFFFF {
-			panic(fmt.Sprintf("cache: block %#x exceeds the wide-set signature range (compact address spaces only)", block))
-		}
-		off := set * metaStride
-		v := binary.LittleEndian.Uint16(c.meta[off+metaValid:])
-		if v != c.fullMask {
-			way = bits.TrailingZeros16(^v)
-			binary.LittleEndian.PutUint16(c.meta[off+metaValid:], v|1<<uint(way))
-		} else {
-			way = c.lruWay(set)
-			line = set<<c.waysShift + way
-			w := c.lines[line]
-			victim = Victim{Block: w & blockMask, State: State(w >> stateShift)}
-			evicted = true
-			c.Evictions++
-		}
-		line = set<<c.waysShift + way
-		c.lines[line] = block | uint64(s)<<stateShift
-		binary.LittleEndian.PutUint16(c.meta[off+2*way:], uint16(c.sigOf(block)))
-		c.touchWide(off, way)
-		return victim, evicted, line
-	}
-	v := c.valid[set]
-	if v != c.fullMask {
+	if v := c.validMask(set); v != c.fullMask {
 		way = bits.TrailingZeros16(^v)
-		c.valid[set] = v | 1<<uint(way)
+		c.setValidMask(set, v|1<<uint(way))
 	} else {
 		way = c.lruWay(set)
 		line = set<<c.waysShift + way
@@ -534,7 +454,7 @@ func (c *Cache) Fill(block uint64, s State) (victim Victim, evicted bool, line i
 	}
 	line = set<<c.waysShift + way
 	c.lines[line] = block | uint64(s)<<stateShift
-	c.touchNarrow(set, way)
+	c.touchWay(set, way)
 	return victim, evicted, line
 }
 
@@ -563,18 +483,6 @@ func (c *Cache) fill2(block uint64, s State) (victim Victim, evicted bool, line 
 	return victim, evicted, line
 }
 
-// Insert allocates block with the given state, evicting the LRU line of the
-// set if necessary. It returns the victim (evicted == true only when a
-// valid line was displaced) and the line index used. Inserting a block that
-// is already present is a programming error and panics; hot paths that
-// just probed use Fill and skip the residency scan.
-func (c *Cache) Insert(block uint64, s State) (victim Victim, evicted bool, line int) {
-	if c.Contains(block) {
-		panic(fmt.Sprintf("cache: Insert of resident block %#x", block))
-	}
-	return c.Fill(block, s)
-}
-
 // Invalidate removes block if present, returning its prior state.
 func (c *Cache) Invalidate(block uint64) (State, bool) {
 	i := c.findWay(block)
@@ -589,8 +497,7 @@ func (c *Cache) Invalidate(block uint64) (State, bool) {
 }
 
 // FindSetState updates block's state in place if the block is resident,
-// in a single filtered scan (remote downgrades and writeback absorption).
-// The new state must be a valid (non-Invalid) state.
+// in a single scan. The new state must be a valid (non-Invalid) state.
 func (c *Cache) FindSetState(block uint64, s State) bool {
 	i := c.findWay(block)
 	if i < 0 {

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,16 @@ import (
 func small() *Cache {
 	// 4 sets x 2 ways of 64-byte blocks.
 	return New(Config{Bytes: 512, Ways: 2, BlockBits: 6})
+}
+
+// insert allocates block, which must not be resident, with Probe plus
+// Fill. Fill trusts its caller's probe, so inserting a resident block is a
+// caller bug; insert panics on it.
+func insert(c *Cache, b uint64, s State) (Victim, bool, int) {
+	if _, hit := c.Probe(b); hit {
+		panic(fmt.Sprintf("insert of resident block %#x", b))
+	}
+	return c.Fill(b, s)
 }
 
 func TestConfigSets(t *testing.T) {
@@ -29,14 +40,14 @@ func TestBadGeometryPanics(t *testing.T) {
 
 func TestInsertLookupInvalidate(t *testing.T) {
 	c := small()
-	if _, ok := c.Lookup(5); ok {
+	if _, ok := c.Probe(5); ok {
 		t.Fatal("empty cache claims a hit")
 	}
-	_, ev, _ := c.Insert(5, Shared)
+	_, ev, _ := insert(c, 5, Shared)
 	if ev {
 		t.Fatal("insert into empty cache evicted")
 	}
-	i, ok := c.Lookup(5)
+	i, ok := c.Probe(5)
 	if !ok || c.State(i) != Shared || c.Block(i) != 5 {
 		t.Fatalf("lookup after insert: i=%d ok=%v", i, ok)
 	}
@@ -44,7 +55,7 @@ func TestInsertLookupInvalidate(t *testing.T) {
 	if !ok || st != Shared {
 		t.Fatalf("invalidate: %v %v", st, ok)
 	}
-	if _, ok := c.Lookup(5); ok {
+	if _, ok := c.Probe(5); ok {
 		t.Fatal("hit after invalidate")
 	}
 }
@@ -53,14 +64,14 @@ func TestLRUWithinSet(t *testing.T) {
 	c := small()
 	// Blocks 0, 4, 8 map to set 0 (4 sets). Fill both ways, touch 0, insert
 	// 8: 4 must be the victim.
-	c.Insert(0, Shared)
-	c.Insert(4, Shared)
-	if i, ok := c.Lookup(0); ok {
+	insert(c, 0, Shared)
+	insert(c, 4, Shared)
+	if i, ok := c.Probe(0); ok {
 		c.Touch(i)
 	} else {
 		t.Fatal("block 0 missing")
 	}
-	v, ev, _ := c.Insert(8, Shared)
+	v, ev, _ := insert(c, 8, Shared)
 	if !ev || v.Block != 4 {
 		t.Fatalf("victim = %+v (evicted=%v), want block 4", v, ev)
 	}
@@ -71,11 +82,11 @@ func TestLRUWithinSet(t *testing.T) {
 
 func TestDirtyVictimStateReported(t *testing.T) {
 	c := small()
-	c.Insert(0, Modified)
-	c.Insert(4, Shared)
-	c.Touch(mustLookup(t, c, 4))
+	insert(c, 0, Modified)
+	insert(c, 4, Shared)
+	c.Touch(mustProbe(t, c, 4))
 	// Next insert in set 0 evicts LRU = block 0 (Modified).
-	v, ev, _ := c.Insert(8, Shared)
+	v, ev, _ := insert(c, 8, Shared)
 	if !ev || v.Block != 0 || v.State != Modified {
 		t.Fatalf("victim = %+v", v)
 	}
@@ -83,13 +94,13 @@ func TestDirtyVictimStateReported(t *testing.T) {
 
 func TestInsertResidentPanics(t *testing.T) {
 	c := small()
-	c.Insert(7, Shared)
+	insert(c, 7, Shared)
 	defer func() {
 		if recover() == nil {
 			t.Error("double insert did not panic")
 		}
 	}()
-	c.Insert(7, Shared)
+	insert(c, 7, Shared)
 }
 
 func TestStateDirty(t *testing.T) {
@@ -101,9 +112,9 @@ func TestStateDirty(t *testing.T) {
 	}
 }
 
-func mustLookup(t *testing.T, c *Cache, b uint64) int {
+func mustProbe(t *testing.T, c *Cache, b uint64) int {
 	t.Helper()
-	i, ok := c.Lookup(b)
+	i, ok := c.Probe(b)
 	if !ok {
 		t.Fatalf("block %d not resident", b)
 	}
@@ -111,7 +122,7 @@ func mustLookup(t *testing.T, c *Cache, b uint64) int {
 }
 
 // TestQuickOccupancyBounded: under any access pattern, occupancy never
-// exceeds capacity and Lookup never returns a block that was not the most
+// exceeds capacity and Probe never returns a block that was not the most
 // recent insert/invalidate outcome.
 func TestQuickOccupancyBounded(t *testing.T) {
 	f := func(ops []uint16) bool {
@@ -122,22 +133,22 @@ func TestQuickOccupancyBounded(t *testing.T) {
 			switch op % 3 {
 			case 0:
 				if !c.Contains(b) {
-					_, _, _ = c.Insert(b, Shared)
+					_, _, _ = insert(c, b, Shared)
 					// Recompute residency from scratch below.
 				}
 			case 1:
 				c.Invalidate(b)
 			case 2:
-				c.Lookup(b)
+				c.Probe(b)
 			}
 			if c.Occupancy() > 16 {
 				return false
 			}
 		}
 		_ = resident
-		// Cross-check Contains against Lookup for every possible block.
+		// Cross-check Contains against Probe for every possible block.
 		for b := uint64(0); b < 97; b++ {
-			_, ok := c.Lookup(b)
+			_, ok := c.Probe(b)
 			if ok != c.Contains(b) {
 				return false
 			}
@@ -157,11 +168,11 @@ func TestMissRateWorkingSets(t *testing.T) {
 	touch := func(blocks int, rounds int) (misses int) {
 		for r := 0; r < rounds; r++ {
 			for b := 0; b < blocks; b++ {
-				if i, ok := c.Lookup(uint64(b)); ok {
+				if i, ok := c.Probe(uint64(b)); ok {
 					c.Touch(i)
 				} else {
 					misses++
-					c.Insert(uint64(b), Shared)
+					insert(c, uint64(b), Shared)
 				}
 			}
 		}
@@ -229,11 +240,17 @@ func (r *refSet) invalidate(b uint64) (State, bool) {
 // through the packed-line cache and a naive map/slice reference model,
 // cross-checking hits, victims, states, and (by draining each set at the
 // end) the complete LRU order. This is the safety net under the packed
-// storage layout and the fused Probe/InsertAt path.
+// storage layout and the fused Probe/Fill path, on both the mid-width
+// (4-way) and the wide (16-way) layout.
 func TestPackedCacheVsReferenceModel(t *testing.T) {
+	for _, ways := range []int{4, 16} {
+		t.Run(fmt.Sprintf("%dway", ways), func(t *testing.T) { packedVsReference(t, ways) })
+	}
+}
+
+func packedVsReference(t *testing.T, ways int) {
 	const (
 		sets  = 8
-		ways  = 4
 		space = 257 // prime: uneven set pressure
 	)
 	rng := rand.New(rand.NewSource(20260728))
@@ -279,12 +296,12 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 				want, wantEv := r.insert(b, st)
 				checkVictim(step, v, ev, want, wantEv)
 			}
-		case op < 6: // plain Insert (only legal when absent)
+		case op < 6: // checked insert (only legal when absent)
 			if r.find(b) >= 0 {
 				continue
 			}
 			st := states[rng.Intn(len(states))]
-			v, ev, _ := c.Insert(b, st)
+			v, ev, _ := insert(c, b, st)
 			want, wantEv := r.insert(b, st)
 			checkVictim(step, v, ev, want, wantEv)
 		case op < 7: // invalidate
@@ -303,12 +320,12 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 			if found {
 				r.lines[ri].state = st
 			}
-		default: // pure reads: Contains/Lookup agree with the model
+		default: // pure reads: Contains/Probe agree with the model
 			if got, want := c.Contains(b), r.find(b) >= 0; got != want {
 				t.Fatalf("step %d: Contains=%v, reference %v", step, got, want)
 			}
-			if _, ok := c.Lookup(b); ok != (r.find(b) >= 0) {
-				t.Fatalf("step %d: Lookup disagrees with reference", step)
+			if _, ok := c.Probe(b); ok != (r.find(b) >= 0) {
+				t.Fatalf("step %d: Probe disagrees with reference", step)
 			}
 		}
 	}
@@ -321,7 +338,7 @@ func TestPackedCacheVsReferenceModel(t *testing.T) {
 		r := ref[s]
 		for k := 0; k < 2*ways; k++ {
 			fresh := uint64(512 + k*sets + s) // set s; beyond the random block space
-			v, ev, _ := c.Insert(fresh, Shared)
+			v, ev, _ := insert(c, fresh, Shared)
 			want, wantEv := r.insert(fresh, Shared)
 			checkVictim(-s*100-k, v, ev, want, wantEv)
 		}
@@ -333,7 +350,7 @@ func TestProbeFillSequence(t *testing.T) {
 	if _, hit := c.Probe(4); hit {
 		t.Fatal("probe of empty set should miss")
 	}
-	c.Insert(0, Shared)
+	insert(c, 0, Shared)
 	if _, hit := c.Probe(4); hit {
 		t.Fatal("probe of absent block should miss")
 	}
@@ -356,11 +373,11 @@ func TestProbeFillSequence(t *testing.T) {
 func TestLRUSixteenWays(t *testing.T) {
 	c := New(Config{Bytes: 16 * 64, Ways: 16, BlockBits: 6}) // one set
 	for b := uint64(0); b < 16; b++ {
-		c.Insert(b, Shared)
+		insert(c, b, Shared)
 	}
 	order := []uint64{5, 3, 11, 0, 15, 8, 1, 14, 2, 9, 7, 12, 4, 13, 6, 10}
 	for _, b := range order {
-		i, ok := c.Lookup(b)
+		i, ok := c.Probe(b)
 		if !ok {
 			t.Fatalf("block %d missing", b)
 		}
@@ -395,7 +412,7 @@ func TestRandomizedLRUProperty(t *testing.T) {
 	for step := 0; step < 5000; step++ {
 		b := uint64(rng.Intn(300))
 		s := int(b % 8)
-		if i, ok := c.Lookup(b); ok {
+		if i, ok := c.Probe(b); ok {
 			c.Touch(i)
 			// move to front in ref
 			r := &sets[s]
@@ -408,7 +425,7 @@ func TestRandomizedLRUProperty(t *testing.T) {
 			}
 			continue
 		}
-		v, ev, _ := c.Insert(b, Shared)
+		v, ev, _ := insert(c, b, Shared)
 		r := &sets[s]
 		if ev {
 			want := r.blocks[len(r.blocks)-1]
@@ -424,26 +441,41 @@ func TestRandomizedLRUProperty(t *testing.T) {
 	}
 }
 
+// TestWideSetSignatureCeiling pins that wide sets have no tag-width
+// ceiling. They once filtered lookups through 16-bit tag signatures, so
+// Fill refused any block whose tag above the set index did not fit in 16
+// bits. Now such a block fills like any other, coexists with the block it
+// used to alias, and never answers for it.
 func TestWideSetSignatureCeiling(t *testing.T) {
-	// Blocks beyond the 16-bit signature range can never be resident
-	// (Fill refuses them), so probes of such blocks must miss instead of
-	// aliasing a resident line with the same truncated signature.
-	c := New(Config{Bytes: 16 * 64, Ways: 16, BlockBits: 6}) // one set
-	c.Insert(5, Shared)
-	alias := uint64(5 + 1<<16)
-	if c.Contains(alias) {
-		t.Error("out-of-range block aliased a resident line")
-	}
-	if c.ReadHit(alias) {
-		t.Error("ReadHit false-hit on out-of-range block")
+	c := New(Config{Bytes: 2 * 16 * 64, Ways: 16, BlockBits: 6}) // two sets
+	const low = 6
+	alias := uint64(low + 2<<16) // same set, same low 16 tag bits
+	insert(c, low, Shared)
+	if c.Contains(alias) || c.ReadHit(alias) {
+		t.Fatal("block beyond the old signature range aliased a resident line")
 	}
 	if _, hit := c.Probe(alias); hit {
-		t.Error("Probe false-hit on out-of-range block")
+		t.Fatal("Probe false-hit on a block beyond the old signature range")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Fill of out-of-range block did not panic")
+	if _, ev, line := c.Fill(alias, Modified); ev || c.Block(line) != alias {
+		t.Fatalf("Fill of %#x: evicted=%v, line holds %#x", alias, ev, c.Block(line))
+	}
+	for _, tc := range []struct {
+		block uint64
+		state State
+	}{{low, Shared}, {alias, Modified}} {
+		i, hit := c.Probe(tc.block)
+		if !hit || c.Block(i) != tc.block || c.State(i) != tc.state {
+			t.Fatalf("Probe(%#x) = line %d hit=%v, want its own %v line", tc.block, i, hit, tc.state)
 		}
-	}()
-	c.Fill(alias, Shared)
+		if !c.Contains(tc.block) || !c.ReadHit(tc.block) {
+			t.Fatalf("block %#x not resident after both fills", tc.block)
+		}
+	}
+	if st, ok := c.Invalidate(alias); !ok || st != Modified {
+		t.Fatalf("Invalidate(%#x) = %v, %v", alias, st, ok)
+	}
+	if !c.Contains(low) || c.Contains(alias) {
+		t.Fatal("invalidating the far block disturbed its former alias")
+	}
 }

@@ -10,12 +10,12 @@ func TestDirectoryBasics(t *testing.T) {
 	if d.Owner(3) != -1 || d.Sharers(3) != 0 {
 		t.Fatal("fresh directory not empty")
 	}
-	d.AddSharer(3, 2)
-	d.AddSharer(3, 5)
+	d.AddSharer(3, 2, 0)
+	d.AddSharer(3, 5, 0)
 	if d.Sharers(3) != (1<<2)|(1<<5) {
 		t.Errorf("sharers = %b", d.Sharers(3))
 	}
-	d.SetOwner(3, 7)
+	d.SetOwner(3, 7, 0)
 	if d.Owner(3) != 7 || d.Sharers(3) != 1<<7 {
 		t.Error("SetOwner must clear old sharers and install owner")
 	}
@@ -31,7 +31,7 @@ func TestDirectoryBasics(t *testing.T) {
 
 func TestDirectoryRemoveOwnerClearsOwner(t *testing.T) {
 	d := NewDirectory(4)
-	d.SetOwner(1, 3)
+	d.SetOwner(1, 3, 0)
 	d.RemoveSharer(1, 3)
 	if d.Owner(1) != -1 {
 		t.Error("evicting the owner must clear ownership")
@@ -41,7 +41,7 @@ func TestDirectoryRemoveOwnerClearsOwner(t *testing.T) {
 func TestDirectoryForEachSharer(t *testing.T) {
 	d := NewDirectory(4)
 	for _, n := range []int{0, 3, 9, 15} {
-		d.AddSharer(2, n)
+		d.AddSharer(2, n, 0)
 	}
 	var visited []int
 	d.ForEachSharer(2, 9, func(n int) { visited = append(visited, n) })
@@ -53,6 +53,58 @@ func TestDirectoryForEachSharer(t *testing.T) {
 		if visited[i] != want[i] {
 			t.Errorf("visited %v, want %v", visited, want)
 		}
+	}
+}
+
+// TestDirectoryWays: each sharer's L2 way is recorded independently of the
+// other nodes' and reported only while the node is a sharer.
+func TestDirectoryWays(t *testing.T) {
+	d := NewDirectory(4)
+	if _, ok := d.Way(2, 0); ok {
+		t.Fatal("fresh directory reports a sharer way")
+	}
+	for n := 0; n < MaxNodes; n++ {
+		d.AddSharer(2, n, 15-n)
+	}
+	for n := 0; n < MaxNodes; n++ {
+		if w, ok := d.Way(2, n); !ok || w != 15-n {
+			t.Errorf("node %d: way %d ok=%v, want %d", n, w, ok, 15-n)
+		}
+	}
+	d.SetOwner(2, 9, 3)
+	if w, ok := d.Way(2, 9); !ok || w != 3 {
+		t.Errorf("owner way %d ok=%v, want 3", w, ok)
+	}
+	if _, ok := d.Way(2, 8); ok {
+		t.Error("SetOwner left another node a sharer way")
+	}
+	d.RemoveSharer(2, 9)
+	if _, ok := d.Way(2, 9); ok {
+		t.Error("removed sharer still reports a way")
+	}
+	if _, ok := d.Way(1, 9); ok {
+		t.Error("ways leaked into a neighbouring block")
+	}
+}
+
+func TestPresenceL2Way(t *testing.T) {
+	p := NewPresence(4)
+	if p.L2Way(1) != -1 {
+		t.Fatal("fresh presence reports an L2 way")
+	}
+	for _, w := range []int{0, 15, 7} {
+		p.SetL2Way(1, w)
+		if got := p.L2Way(1); got != w {
+			t.Errorf("L2Way = %d, want %d", got, w)
+		}
+	}
+	p.Clear(1)
+	if p.L2Way(1) != 7 {
+		t.Error("Clear dropped the L2 way (it clears L1 records only)")
+	}
+	p.SetL2Way(1, -1)
+	if p.L2Way(1) != -1 || p.L2Way(0) != -1 || p.L2Way(2) != -1 {
+		t.Error("SetL2Way(-1) did not clear, or leaked into a neighbour")
 	}
 }
 
@@ -99,9 +151,9 @@ func TestQuickDirectoryOwnerIsSharer(t *testing.T) {
 			n := int(op/8) % 16
 			switch op % 4 {
 			case 0:
-				d.AddSharer(b, n)
+				d.AddSharer(b, n, int(op)%16)
 			case 1:
-				d.SetOwner(b, n)
+				d.SetOwner(b, n, int(op)%16)
 			case 2:
 				d.RemoveSharer(b, n)
 			case 3:

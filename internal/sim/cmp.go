@@ -24,9 +24,12 @@ import (
 // the L2 (after the owner's dirty line was evicted into it).
 //
 // Like the DSM, the hot paths are single-pass: Read/Fetch resolve the
-// L1-hit case with one fused probe+touch, each level's set is scanned at
-// most once per protocol step, and holder iteration runs as inline
-// bitmask loops over the presence vector.
+// L1-hit case with one fused probe+touch, each L1 set is scanned at most
+// once per protocol step, and holder iteration runs as inline bitmask
+// loops over the presence vector. The L2 is never searched: the presence
+// vector records the way of every block the L2 holds, exactly, and is
+// updated at each of the four places the L2's contents change (the L1
+// victim spill, the hit move-up, Write and invalidateAll).
 type CMP struct {
 	ncpu      int
 	l1i       []cache.Cache
@@ -108,15 +111,13 @@ func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 		return
 	}
 	m.pres.Remove(victim.Block, cpu)
-	// Spill the victim into the L2 unless another L1 still holds it (then
-	// the L2 copy would be redundant; Piranha keeps a single on-chip copy
-	// path - we approximate by only allocating when no L1 copy remains or
-	// the victim is dirty). One fused scan covers the residence check, the
-	// dirty-state merge, and the allocation slot.
-	li, resident := m.l2.Probe(victim.Block)
-	if resident {
+	// Every L1 victim spills into the L2, whether or not a peer L1 still
+	// holds the block. When the L2 already holds it, no line is allocated:
+	// a dirty victim's state merges into that line (which becomes
+	// Modified), and a clean victim leaves it as it is.
+	if w := m.pres.L2Way(victim.Block); w >= 0 {
 		if victim.State.Dirty() {
-			m.l2.SetState(li, cache.Modified)
+			m.l2.SetState(m.l2.Line(victim.Block, w), cache.Modified)
 		}
 		return
 	}
@@ -126,7 +127,19 @@ func (m *CMP) fillL1(cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 	}
 	// L2 victim, if any, is silently dropped: a dirty line is written back
 	// to memory, and peer L1 copies survive (non-inclusive hierarchy).
-	m.l2.Fill(victim.Block, l2st)
+	v, ev, line := m.l2.Fill(victim.Block, l2st)
+	if ev {
+		m.pres.SetL2Way(v.Block, -1)
+	}
+	m.pres.SetL2Way(victim.Block, m.l2.Way(line))
+}
+
+// dropL2 removes b from the L2, if the L2 holds it.
+func (m *CMP) dropL2(b uint64) {
+	if w := m.pres.L2Way(b); w >= 0 {
+		m.l2.SetState(m.l2.Line(b, w), cache.Invalid)
+		m.pres.SetL2Way(b, -1)
+	}
 }
 
 // intraMiss records an L1 miss satisfied on chip.
@@ -156,7 +169,7 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 		}
 		m.fillL1(cpu, l1, b, cache.Shared)
 	default:
-		if i, hit := m.l2.Probe(b); hit {
+		if w := m.pres.L2Way(b); w >= 0 {
 			// Shared L2 hit: move the block up into the L1 (victim-style).
 			class := m.cls.ClassifyRead(cpu, b, false, false)
 			if class == trace.Compulsory || class == trace.IOCoherence {
@@ -166,14 +179,14 @@ func (m *CMP) readMiss(l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
 				class = trace.Replacement
 			}
 			m.intraMiss(cpu, b, fn, class, trace.SupplierL2)
-			if m.l2.State(i).Dirty() {
+			if i := m.l2.Line(b, w); m.l2.State(i).Dirty() {
 				// The L2 holds the only dirty copy (the owner's line was
 				// evicted into it). It supplies the data and keeps the
 				// dirty line; the reader gets a Shared copy.
 				m.l2.Touch(i)
 			} else {
 				// Clean line: victim-style move up into the L1.
-				m.l2.SetState(i, cache.Invalid)
+				m.dropL2(b)
 			}
 			m.fillL1(cpu, l1, b, cache.Shared)
 		} else if m.pres.HasPeer(b, cpu) {
@@ -247,7 +260,7 @@ func (m *CMP) Write(cpu int, addr uint64, fn trace.FuncID) {
 		m.l1d[peer].Invalidate(b)
 		m.pres.Remove(b, peer)
 	}
-	m.l2.Invalidate(b)
+	m.dropL2(b)
 	if l1hit {
 		l1d.SetState(li, cache.Modified)
 		l1d.Touch(li)
@@ -269,7 +282,7 @@ func (m *CMP) invalidateAll(b uint64) {
 		m.l1d[cpu].Invalidate(b)
 	}
 	m.pres.Clear(b)
-	m.l2.Invalidate(b)
+	m.dropL2(b)
 }
 
 // NonAllocStore implements Machine.

@@ -17,9 +17,12 @@ import (
 // The hot paths are single-pass: Read/Fetch resolve the (by far most
 // common) L1-hit case with one fused probe+touch and fall into the shared
 // miss path otherwise; each cache level's set is scanned at most once per
-// protocol step; sharer iteration runs as inline bitmask loops. Per-node
-// state lives in one contiguous nodes slice so an access indexes a single
-// struct instead of three parallel pointer slices.
+// protocol step; sharer iteration runs as inline bitmask loops. No L2 set
+// is ever searched: a node's sharer bit is set exactly while its L2 holds
+// the block, and the directory records the way, so every L2 access goes
+// straight to its line. Per-node state lives in one contiguous nodes slice
+// so an access indexes a single struct instead of three parallel pointer
+// slices.
 type DSM struct {
 	ncpu    int
 	nodes   []dsmNode
@@ -84,14 +87,20 @@ func (m *DSM) Tick(cpu int, n uint64) { m.instr += n }
 // Classifier exposes the classifier (tests).
 func (m *DSM) Classifier() *Classifier { return m.cls }
 
-// fillL1 inserts b into an L1 (the caller's probe missed), spilling any
+// fillL1 inserts b into cpu's L1 (the caller's probe missed), spilling any
 // dirty victim's state into the (inclusive) L2.
-func (m *DSM) fillL1(n *dsmNode, l1 *cache.Cache, b uint64, st cache.State) {
+func (m *DSM) fillL1(n *dsmNode, cpu int, l1 *cache.Cache, b uint64, st cache.State) {
 	victim, evicted, _ := l1.Fill(b, st)
 	if evicted && victim.State.Dirty() {
-		// Inclusive hierarchy: the victim must be present in the L2.
-		n.l2.FindSetState(victim.Block, cache.Modified)
+		// Inclusive hierarchy: the victim is present in the L2.
+		n.l2.SetState(m.l2Line(n, cpu, victim.Block), cache.Modified)
 	}
+}
+
+// l2Line returns the line of cpu's L2 that holds b; cpu must be a sharer.
+func (m *DSM) l2Line(n *dsmNode, cpu int, b uint64) int {
+	way, _ := m.dir.Way(b, cpu)
+	return n.l2.Line(b, way)
 }
 
 // evictL2 handles an L2 victim: back-invalidate the L1s (inclusion) and
@@ -104,13 +113,14 @@ func (m *DSM) evictL2(n *dsmNode, cpu int, v cache.Victim) {
 
 // readMiss is the shared L1-miss tail of Read and Fetch.
 func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.FuncID) {
-	if n.l2.ReadHit(b) {
+	if way, held := m.dir.Way(b, cpu); held {
 		// Node-level hit: not an off-chip miss, not traced (the multi-chip
 		// context traces off-chip misses only). A resident line implies
 		// this node already observed the current write version (any newer
 		// write or DMA would have invalidated the copy), so the classifier
 		// needs no NoteRead.
-		m.fillL1(n, l1, b, cache.Shared)
+		n.l2.Touch(n.l2.Line(b, way))
+		m.fillL1(n, cpu, l1, b, cache.Shared)
 		return
 	}
 	// Off-chip read miss.
@@ -125,20 +135,20 @@ func (m *DSM) readMiss(n *dsmNode, l1 *cache.Cache, cpu int, b uint64, fn trace.
 		Supplier: trace.SupplierMemory,
 	})
 	if remoteDirty {
-		// Remote owner downgrades M -> S and writes back. Only remote
-		// caches are touched, so the local L2 probe stays valid.
+		// Remote owner downgrades M -> S and writes back.
 		ro := &m.nodes[owner]
-		ro.l2.FindSetState(b, cache.Shared)
+		ro.l2.SetState(m.l2Line(ro, owner, b), cache.Shared)
 		ro.l1d.FindSetState(b, cache.Shared)
 		m.dir.Downgrade(b)
 	}
-	m.dir.AddSharer(b, cpu)
-	if v, ev, _ := n.l2.Fill(b, cache.Shared); ev {
+	v, ev, line := n.l2.Fill(b, cache.Shared)
+	if ev {
 		m.evictL2(n, cpu, v)
 	}
+	m.dir.AddSharer(b, cpu, n.l2.Way(line))
 	// The L2 eviction may have back-invalidated a line of this very L1
 	// set, so the fill must pick its slot from a fresh scan.
-	m.fillL1(n, l1, b, cache.Shared)
+	m.fillL1(n, cpu, l1, b, cache.Shared)
 	m.cls.NoteRead(cpu, b)
 }
 
@@ -178,20 +188,26 @@ func (m *DSM) Write(cpu int, addr uint64, fn trace.FuncID) {
 	// Gain exclusivity: invalidate all remote copies. Only remote nodes
 	// are touched, so the local L1 probe stays valid across the sweep.
 	m.invalidateRemote(b, cpu)
-	m.dir.SetOwner(b, cpu)
-	if i, hit := n.l2.Probe(b); hit {
+	way, held := m.dir.Way(b, cpu)
+	if held {
+		i := n.l2.Line(b, way)
 		n.l2.SetState(i, cache.Modified)
 		n.l2.Touch(i)
-	} else if v, ev, _ := n.l2.Fill(b, cache.Modified); ev {
-		m.evictL2(n, cpu, v)
+	} else {
+		v, ev, i := n.l2.Fill(b, cache.Modified)
+		if ev {
+			m.evictL2(n, cpu, v)
+		}
+		way = n.l2.Way(i)
 	}
+	m.dir.SetOwner(b, cpu, way)
 	if l1hit {
 		// The L2 eviction cannot have displaced b's own L1 line (the
 		// victim is a different block), so the probed line still holds b.
 		n.l1d.SetState(li, cache.Modified)
 		n.l1d.Touch(li)
 	} else {
-		m.fillL1(n, &n.l1d, b, cache.Modified)
+		m.fillL1(n, cpu, &n.l1d, b, cache.Modified)
 	}
 	m.cls.NoteWrite(cpu, b)
 }
@@ -205,17 +221,14 @@ func (m *DSM) invalidateRemote(b uint64, keep int) {
 		sharers &^= 1 << uint(keep)
 	}
 	for sharers != 0 {
-		node := bits.TrailingZeros64(sharers)
+		node := bits.TrailingZeros16(sharers)
 		sharers &^= 1 << uint(node)
 		n := &m.nodes[node]
-		// Inclusive hierarchy: an L1 can only hold what the node's L2
-		// holds, so when the L2 turns out not to have the block (the
-		// directory's sharer set is a superset of residency) the L1 scans
-		// are skipped — the resulting state is identical.
-		if _, held := n.l2.Invalidate(b); held {
-			n.l1i.Invalidate(b)
-			n.l1d.Invalidate(b)
-		}
+		// The sharer set is exactly the set of nodes whose L2 holds b,
+		// and inclusion puts any L1 copy under an L2 copy.
+		n.l2.SetState(m.l2Line(n, node, b), cache.Invalid)
+		n.l1i.Invalidate(b)
+		n.l1d.Invalidate(b)
 		m.dir.RemoveSharer(b, node)
 	}
 }

@@ -50,7 +50,9 @@ func (o *oracle) io(b uint64) {
 func (o *oracle) read(cpu int, b uint64) { o.readSince[cpu][b] = true }
 
 // TestDSMAgainstOracle: every traced miss's classification must be
-// consistent with the oracle's view of writers and readers.
+// consistent with the oracle's view of writers and readers, and the
+// directory must locate every L2 line exactly (checkL2Index, after every
+// step).
 func TestDSMAgainstOracle(t *testing.T) {
 	const ncpu, blocks = 4, 1 << 12
 	m := NewDSM(ncpu, tinyCaches(), blocks)
@@ -81,6 +83,9 @@ func TestDSMAgainstOracle(t *testing.T) {
 		}
 		if t.Failed() {
 			return
+		}
+		if err := checkL2Index(m); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 }
@@ -125,7 +130,8 @@ func wasReader(o *oracle, cpu int, b uint64) bool {
 }
 
 // TestCMPSingleDirtyOwner: at every point, at most one core's L1D holds a
-// block dirty, and the presence bits agree with cache contents.
+// block dirty, the presence owner holds the block, and the presence
+// vector's L2 ways agree with the L2 (checkL2Index, after every step).
 func TestCMPSingleDirtyOwner(t *testing.T) {
 	const ncpu, blocks = 4, 1 << 12
 	m := NewCMP(ncpu, tinyCaches(), blocks)
@@ -142,11 +148,14 @@ func TestCMPSingleDirtyOwner(t *testing.T) {
 		default:
 			m.Read(cpu, b<<6, 0)
 		}
+		if err := checkL2Index(m); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
 		if step%1000 == 0 {
 			for blk := uint64(0); blk < 256; blk++ {
 				dirty := 0
 				for c := 0; c < ncpu; c++ {
-					if i, ok := m.l1d[c].Lookup(blk); ok && m.l1d[c].State(i).Dirty() {
+					if i, ok := m.l1d[c].Probe(blk); ok && m.l1d[c].State(i).Dirty() {
 						dirty++
 					}
 				}
