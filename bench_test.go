@@ -334,17 +334,18 @@ func BenchmarkAnalysisThroughput(b *testing.B) {
 }
 
 // BenchmarkStreamingCollect measures the streaming pipeline end to end:
-// one CollectStreaming per iteration (both machines, three incremental
-// context analyses fed straight from the simulators). Reports misses
+// one Runner.Run per iteration (both machines, three incremental context
+// analyses fed straight from the simulators). Reports misses
 // streamed per second of wall clock and, via -benchmem/ReportAllocs, the
 // allocated bytes per run — which stay flat as the target grows (the
 // O(window) claim; see TestStreamingBoundedMemory). Runs in short mode so
 // the CI bench-smoke artifact tracks the streaming trajectory.
 func BenchmarkStreamingCollect(b *testing.B) {
+	r := NewRunner()
 	b.ReportAllocs()
 	var misses uint64
 	for i := 0; i < b.N; i++ {
-		exp := CollectStreaming(OLTP, Small, int64(i+2), 20000, StreamOptions{})
+		exp := runExp(b, r, Request{App: OLTP, Scale: Small, Seed: int64(i + 2), TargetMisses: 20000})
 		for _, ctx := range Contexts() {
 			h := exp.Context(ctx).Header
 			if h.Misses == 0 {
@@ -415,15 +416,16 @@ func BenchmarkPipelinedCollect(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchCollect is BenchmarkStreamingCollect's A/B twin on the
-// materialize-then-analyze path, with identical configuration, so the
+// BenchmarkBatchCollect is BenchmarkStreamingCollect's A/B twin with the
+// traces materialized (KeepTraces), with identical configuration, so the
 // trajectory artifacts record the streaming-vs-batch wall-clock and
 // allocation contrast directly.
 func BenchmarkBatchCollect(b *testing.B) {
+	r := NewRunner()
 	b.ReportAllocs()
 	var misses uint64
 	for i := 0; i < b.N; i++ {
-		exp := Collect(OLTP, Small, int64(i+2), 20000)
+		exp := runExp(b, r, Request{App: OLTP, Scale: Small, Seed: int64(i + 2), TargetMisses: 20000, KeepTraces: true})
 		for _, ctx := range Contexts() {
 			h := exp.Context(ctx).Header
 			if h.Misses == 0 {
@@ -440,10 +442,21 @@ func BenchmarkBatchCollect(b *testing.B) {
 // miss target.
 func BenchmarkCollectAll(b *testing.B) {
 	skipInShort(b)
+	r := NewRunner()
+	var reqs []Request
+	for _, app := range Apps() {
+		reqs = append(reqs, Request{App: app, Scale: Small, Seed: 7, TargetMisses: 10000, KeepTraces: true})
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		exps := CollectAll(Small, 7, 10000)
-		if len(exps) != len(Apps()) {
+		n := 0
+		for _, err := range r.RunAll(context.Background(), reqs...) {
+			if err != nil {
+				b.Fatalf("RunAll: %v", err)
+			}
+			n++
+		}
+		if n != len(Apps()) {
 			b.Fatal("missing experiments")
 		}
 	}

@@ -187,7 +187,7 @@ func main() {
 	// Simulate all requested machines concurrently, then dump in order.
 	results := make([]*workload.Result, len(machines))
 	errs := make([]error, len(machines))
-	var g par.Group
+	g := par.Group{Pool: par.NewPool(0)}
 	for i, machine := range machines {
 		g.GoCtx(ctx, func() {
 			results[i], errs[i] = workload.RunContext(ctx, workload.Config{

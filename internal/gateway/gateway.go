@@ -17,8 +17,6 @@ package gateway
 
 import (
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -28,14 +26,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/server"
 )
 
 // ErrGatewayClosed is returned by Serve after Shutdown or Close.
 var ErrGatewayClosed = errors.New("gateway: closed")
-
-// requestLimit bounds the client's negotiation line, as in the server.
-const requestLimit = 64 << 10
 
 // Config tunes a Gateway.
 type Config struct {
@@ -183,10 +179,11 @@ type Gateway struct {
 	mu       sync.Mutex
 	backends map[string]*backend
 	ring     *hashRing
-	parked   map[string]*gwSession
 	closed   bool
 	conns    int
 	drainCh  chan struct{}
+
+	parks *link.ParkTable[*gwSession]
 
 	nextID         atomic.Uint64
 	totalSessions  atomic.Int64
@@ -228,10 +225,10 @@ func New(ln net.Listener, cfg Config) *Gateway {
 		ln:       ln,
 		backends: make(map[string]*backend),
 		ring:     buildRing(nil, cfg.Replicas),
-		parked:   make(map[string]*gwSession),
 		log:      cfg.Logger,
 		start:    time.Now(),
 	}
+	g.parks = link.NewParkTable(cfg.ResumeGrace, g.releaseParked)
 	// Metrics before SetBackends: the probers it spawns observe probe
 	// latency from their first exchange.
 	g.metrics = newGatewayMetrics(g)
@@ -318,24 +315,13 @@ func (g *Gateway) Close() error {
 
 // teardown discards parked sessions and stops every prober.
 func (g *Gateway) teardown() {
+	g.parks.Close()
 	g.mu.Lock()
-	ps := make([]*gwSession, 0, len(g.parked))
-	for _, p := range g.parked {
-		ps = append(ps, p)
-	}
-	g.parked = make(map[string]*gwSession)
 	bs := make([]*backend, 0, len(g.backends))
 	for _, b := range g.backends {
 		bs = append(bs, b)
 	}
 	g.mu.Unlock()
-	for _, p := range ps {
-		if p.parkTimer != nil {
-			p.parkTimer.Stop()
-		}
-		g.detach(p)
-		g.releaseFrames(p)
-	}
 	for _, b := range bs {
 		b.stopProber()
 	}
@@ -538,14 +524,4 @@ func (g *Gateway) releaseFrames(s *gwSession) {
 		g.ringFrames.Add(-int64(n))
 	}
 	s.frames = nil
-}
-
-// newToken mints a resume token (the gateway issues its own: client-side
-// resumption terminates here, not at a backend).
-func newToken() string {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic("gateway: reading random token: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
 }

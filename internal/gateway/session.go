@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/server"
 	"repro/internal/wire"
 )
@@ -39,10 +40,7 @@ type gwSession struct {
 	bconn net.Conn
 	resp  chan backendResp
 
-	// Park bookkeeping, guarded by Gateway.mu.
-	doneLine  []byte // final response line, for redelivery after a lost response
-	parkGen   int
-	parkTimer *time.Timer
+	doneLine []byte // final response line, for redelivery after a lost response
 }
 
 // backendResp is the per-attachment reader goroutine's single message:
@@ -62,89 +60,41 @@ type relayFailure struct {
 	retryAfter time.Duration
 }
 
-// deadlineConn arms a fresh deadline before every client read and write,
-// bounding each operation like the server's idle timeout does.
-type deadlineConn struct {
-	net.Conn
-	read, write time.Duration
-}
-
-func (c *deadlineConn) Read(p []byte) (int, error) {
-	if err := c.Conn.SetReadDeadline(time.Now().Add(c.read)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *deadlineConn) Write(p []byte) (int, error) {
-	if err := c.Conn.SetWriteDeadline(time.Now().Add(c.write)); err != nil {
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// lineWriter serializes the gateway's client-facing control lines.
-type lineWriter struct {
-	bw *bufio.Writer
-}
-
-func (w *lineWriter) writeLine(v any) error {
-	if err := json.NewEncoder(w.bw).Encode(v); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-func (w *lineWriter) writeRaw(line []byte) error {
-	if _, err := w.bw.Write(line); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
-var errRequestTooLarge = fmt.Errorf("request exceeds %d bytes", requestLimit)
-
-// readLine reads one \n-terminated line of at most limit bytes.
-func readLine(br *bufio.Reader, limit int) ([]byte, error) {
-	var line []byte
-	for len(line) <= limit {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if b == '\n' {
-			return line, nil
-		}
-		line = append(line, b)
-	}
-	return nil, errRequestTooLarge
-}
-
-// handle runs one client connection end to end.
+// handle runs one client connection end to end. A connection answered
+// with an error lingers before it closes, so a client still streaming
+// reads the answer rather than a reset.
 func (g *Gateway) handle(conn net.Conn) {
 	defer conn.Close()
-	dc := &deadlineConn{Conn: conn, read: g.cfg.IdleTimeout, write: g.cfg.IdleTimeout}
-	br := bufio.NewReaderSize(dc, 64<<10)
-	cw := &lineWriter{bw: bufio.NewWriter(dc)}
+	if !g.serve(conn) {
+		link.Linger(conn)
+	}
+}
 
-	line, err := readLine(br, requestLimit)
+// serve negotiates one connection's session and relays it. It reports
+// false when it answered the client with an error.
+func (g *Gateway) serve(conn net.Conn) bool {
+	dc := &link.Conn{Conn: conn, ReadTimeout: g.cfg.IdleTimeout, WriteTimeout: g.cfg.IdleTimeout}
+	br := bufio.NewReaderSize(dc, 64<<10)
+	cw := link.NewLineWriter(dc)
+
+	line, err := link.ReadRequest(br)
 	if err != nil {
 		code := server.CodeBadRequest
-		if errors.Is(err, errRequestTooLarge) {
+		if errors.Is(err, link.ErrRequestTooLarge) {
 			code = server.CodeTooLarge
 		}
-		cw.writeLine(server.Response{Error: fmt.Sprintf("reading request: %v", err), Code: code})
-		return
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("reading request: %v", err), Code: code})
+		return false
 	}
 	var req server.Request
 	if err := json.Unmarshal(line, &req); err != nil {
-		cw.writeLine(server.Response{Error: fmt.Sprintf("parsing request: %v", err), Code: server.CodeBadRequest})
-		return
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("parsing request: %v", err), Code: server.CodeBadRequest})
+		return false
 	}
 	if req.Probe {
 		st := g.AggregateStats()
-		cw.writeLine(server.Response{Stats: &st})
-		return
+		cw.WriteJSON(server.Response{Stats: &st})
+		return true
 	}
 	g.totalSessions.Add(1)
 
@@ -154,34 +104,33 @@ func (g *Gateway) handle(conn net.Conn) {
 	if closed {
 		g.totalShed.Add(1)
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{
+		cw.WriteJSON(server.Response{
 			Error: "gateway draining", Code: server.CodeDraining,
 			RetryAfterMS: int(g.cfg.RetryHint / time.Millisecond),
 		})
-		return
+		return false
 	}
 
 	if req.Resume != nil && req.Resume.Token != "" {
-		sess := g.takeParked(req.Resume.Token)
+		sess := g.parks.Take(req.Resume.Token)
 		if sess == nil {
 			g.totalFailed.Add(1)
-			cw.writeLine(server.Response{
+			cw.WriteJSON(server.Response{
 				Error: fmt.Sprintf("resume token unknown or expired (grace window %v)", g.cfg.ResumeGrace),
 				Code:  server.CodeResumeUnknown,
 			})
-			return
+			return false
 		}
 		if sess.doneLine != nil {
 			// The session completed; only the response line was lost.
-			cw.writeLine(server.Hello{Token: sess.token, NextFrame: sess.framesIn, Done: true})
-			cw.writeRaw(sess.doneLine)
-			g.park(sess)
-			return
+			cw.WriteJSON(server.Hello{Token: sess.token, NextFrame: sess.framesIn, Done: true})
+			cw.WriteRaw(sess.doneLine)
+			g.parks.Park(sess.token, sess)
+			return true
 		}
 		g.totalResumed.Add(1)
 		sess.tried = make(map[string]bool) // a fresh connection earns backends a fresh chance
-		g.relay(sess, br, cw)
-		return
+		return g.relay(sess, br, cw)
 	}
 
 	sess := &gwSession{
@@ -195,7 +144,7 @@ func (g *Gateway) handle(conn net.Conn) {
 		sess.key = sess.remote
 	}
 	if sess.resumable {
-		sess.token = newToken()
+		sess.token = link.NewToken()
 	}
 	breq := req
 	breq.Resume = nil
@@ -203,17 +152,18 @@ func (g *Gateway) handle(conn net.Conn) {
 	bline, err := json.Marshal(breq)
 	if err != nil {
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: fmt.Sprintf("encoding backend request: %v", err), Code: server.CodeBadRequest})
-		return
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("encoding backend request: %v", err), Code: server.CodeBadRequest})
+		return false
 	}
 	sess.reqLine = append(bline, '\n')
-	g.relay(sess, br, cw)
+	return g.relay(sess, br, cw)
 }
 
 // relay streams one session (fresh or resumed) between its client and
 // the fleet. On return the session has been completed, failed, or
-// parked; backend attachment is released unless the session parked.
-func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
+// parked; backend attachment is released unless the session parked. It
+// reports false when it answered the client with an error.
+func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *link.LineWriter) bool {
 	parked := false
 	defer func() {
 		if !parked {
@@ -227,13 +177,13 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 		// and no replacement was available at the time).
 		if fail := g.attach(sess); fail != nil {
 			parked = g.respondFail(cw, sess, fail)
-			return
+			return false
 		}
 	}
 	if sess.resumable {
-		if err := cw.writeLine(server.Hello{Token: sess.token, NextFrame: sess.framesIn}); err != nil {
+		if err := cw.WriteJSON(server.Hello{Token: sess.token, NextFrame: sess.framesIn}); err != nil {
 			parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("writing hello: %w", err)})
-			return
+			return false
 		}
 	}
 
@@ -242,17 +192,17 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 	// against the original and dropped.
 	if err := wire.ReadMagic(br); err != nil {
 		parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading stream magic: %w", err)})
-		return
+		return false
 	}
 	kind, raw, err := wire.ReadRawFrame(br, nil)
 	if err != nil {
 		parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading header frame: %w", err)})
-		return
+		return false
 	}
 	if kind != wire.KindHeader {
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: fmt.Sprintf("stream starts with frame %c, want header", kind), Code: server.CodeBadRequest})
-		return
+		cw.WriteJSON(server.Response{Error: fmt.Sprintf("stream starts with frame %c, want header", kind), Code: server.CodeBadRequest})
+		return false
 	}
 	prefix := append(wire.MagicBytes(), raw...)
 	switch {
@@ -260,12 +210,12 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 		sess.prefix = prefix
 		if fail := g.forward(sess, sess.prefix); fail != nil {
 			parked = g.respondFail(cw, sess, fail)
-			return
+			return false
 		}
 	case !bytes.Equal(prefix, sess.prefix):
 		g.totalFailed.Add(1)
-		cw.writeLine(server.Response{Error: "resumed stream prefix differs from the original", Code: server.CodeBadRequest})
-		return
+		cw.WriteJSON(server.Response{Error: "resumed stream prefix differs from the original", Code: server.CodeBadRequest})
+		return false
 	}
 
 	scratch := []byte(nil)
@@ -275,7 +225,7 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 		// replaced now, not at the next frame's write error.
 		if fail := g.checkBackend(sess); fail != nil {
 			parked = g.respondFail(cw, sess, fail)
-			return
+			return false
 		}
 		kind, raw, err := wire.ReadRawFrame(br, scratch)
 		if err != nil {
@@ -284,13 +234,13 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 			// boundary is clean regardless of how the link failed: park for
 			// resumption when the protocol allows it.
 			parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("reading stream: %w", err)})
-			return
+			return false
 		}
 		switch kind {
 		case wire.KindHeader:
 			g.totalFailed.Add(1)
-			cw.writeLine(server.Response{Error: "duplicate header frame", Code: server.CodeBadRequest})
-			return
+			cw.WriteJSON(server.Response{Error: "duplicate header frame", Code: server.CodeBadRequest})
+			return false
 		case wire.KindData:
 			owned := append([]byte(nil), raw...)
 			scratch = raw
@@ -307,13 +257,13 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 			}
 			if fail := g.forward(sess, owned); fail != nil {
 				parked = g.respondFail(cw, sess, fail)
-				return
+				return false
 			}
 			sess.framesIn++
 			if sess.resumable {
-				if err := cw.writeLine(server.Ack{Ack: sess.framesIn}); err != nil {
+				if err := cw.WriteJSON(server.Ack{Ack: sess.framesIn}); err != nil {
 					parked = g.respondFail(cw, sess, &relayFailure{code: server.CodeStream, err: fmt.Errorf("writing ack: %w", err)})
-					return
+					return false
 				}
 			}
 		case wire.KindTrailer:
@@ -321,7 +271,7 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 				sess.trailer = append([]byte(nil), raw...)
 				if fail := g.forward(sess, sess.trailer); fail != nil {
 					parked = g.respondFail(cw, sess, fail)
-					return
+					return false
 				}
 			}
 			// else: a resumed client replaying a trailer the attach already
@@ -329,7 +279,7 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 			respLine, fail := g.awaitResponse(sess)
 			if fail != nil {
 				parked = g.respondFail(cw, sess, fail)
-				return
+				return false
 			}
 			g.totalRelayedOK.Add(1)
 			g.log.Info("session relayed", "session", sess.id, "key", sess.key,
@@ -346,11 +296,11 @@ func (g *Gateway) relay(sess *gwSession, br *bufio.Reader, cw *lineWriter) {
 				// does: a client whose response line was lost resumes and
 				// collects it instead of failing with resume_unknown.
 				sess.doneLine = respLine
-				g.park(sess)
+				g.parks.Park(sess.token, sess)
 				parked = true
 			}
-			cw.writeRaw(respLine) // best effort; resumable clients can re-collect
-			return
+			cw.WriteRaw(respLine) // best effort; resumable clients can re-collect
+			return true
 		}
 	}
 }
@@ -376,7 +326,7 @@ func (g *Gateway) attach(sess *gwSession) *relayFailure {
 			continue
 		}
 		sess.be = b
-		sess.bconn = conn
+		sess.bconn = &link.Conn{Conn: conn, WriteTimeout: g.cfg.WriteTimeout}
 		sess.resp = make(chan backendResp, 1)
 		go readResponse(conn, sess.resp)
 		return g.replay(sess)
@@ -398,26 +348,18 @@ func (g *Gateway) replay(sess *gwSession) *relayFailure {
 		parts = append(parts, sess.trailer)
 	}
 	for _, p := range parts {
-		if err := g.writeBackend(sess, p); err != nil {
+		if _, err := sess.bconn.Write(p); err != nil {
 			return g.backendFailed(sess, err, nil)
 		}
 	}
 	return nil
 }
 
-// writeBackend performs one deadline-bounded write on the backend leg.
-func (g *Gateway) writeBackend(sess *gwSession, p []byte) error {
-	sess.bconn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-	_, err := sess.bconn.Write(p)
-	sess.bconn.SetWriteDeadline(time.Time{})
-	return err
-}
-
 // forward relays one already-retained payload to the current backend. On
 // failure the session reroutes — and because the payload was retained
 // before forwarding, the reroute's replay has already delivered it.
 func (g *Gateway) forward(sess *gwSession, p []byte) *relayFailure {
-	if err := g.writeBackend(sess, p); err != nil {
+	if _, err := sess.bconn.Write(p); err != nil {
 		return g.backendFailed(sess, err, nil)
 	}
 	return nil
@@ -440,14 +382,31 @@ func (g *Gateway) checkBackend(sess *gwSession) *relayFailure {
 // session without opening its circuit; any other error line passes
 // through to the client verbatim; everything else is a death that opens
 // the circuit), then reroute via a fresh attach. A nil return means the
-// session is attached to a replacement and fully replayed.
+// session is attached to a replacement and fully replayed. pre is the
+// backend's line or read error when that is what raised the suspicion;
+// nil means a write failed with cause.
 func (g *Gateway) backendFailed(sess *gwSession, cause error, pre *backendResp) *relayFailure {
 	msg := pre
 	if msg == nil {
+		// A backend that rejected the session wrote its answer before it
+		// closed, so after a failed write that answer is in flight or never
+		// coming; wait for it, lest a live backend's rejection pass for its
+		// death. A timed-out write means a wedged backend: nothing to await.
+		var ne net.Error
+		timedOut := errors.As(cause, &ne) && ne.Timeout()
 		select {
 		case m := <-sess.resp:
 			msg = &m
 		default:
+			if !timedOut {
+				t := time.NewTimer(link.PendingReplyTimeout)
+				select {
+				case m := <-sess.resp:
+					msg = &m
+				case <-t.C:
+				}
+				t.Stop()
+			}
 		}
 	}
 	decline := false
@@ -554,10 +513,10 @@ func (g *Gateway) awaitResponse(sess *gwSession) ([]byte, *relayFailure) {
 // backend is down right now" heals if the fleet recovers within the
 // grace window. It reports whether the session parked (the caller must
 // then not detach it).
-func (g *Gateway) respondFail(cw *lineWriter, sess *gwSession, fail *relayFailure) bool {
+func (g *Gateway) respondFail(cw *link.LineWriter, sess *gwSession, fail *relayFailure) bool {
 	if fail.raw != nil {
 		g.totalFailed.Add(1)
-		cw.writeRaw(fail.raw)
+		cw.WriteRaw(fail.raw)
 		return false
 	}
 	hint := int(fail.retryAfter / time.Millisecond)
@@ -569,15 +528,15 @@ func (g *Gateway) respondFail(cw *lineWriter, sess *gwSession, fail *relayFailur
 			g.totalParked.Add(1)
 			g.log.Info("session parked", "session", sess.id, "key", sess.key,
 				"code", string(fail.code), "error", fail.err.Error())
-			cw.writeLine(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
-			g.park(sess)
+			cw.WriteJSON(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
+			g.parks.Park(sess.token, sess)
 			return true
 		}
 	}
 	g.totalFailed.Add(1)
 	g.log.Warn("session failed", "session", sess.id, "key", sess.key,
 		"code", string(fail.code), "error", fail.err.Error())
-	cw.writeLine(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
+	cw.WriteJSON(server.Response{Error: fail.err.Error(), Code: fail.code, RetryAfterMS: hint})
 	return false
 }
 
@@ -606,52 +565,18 @@ func (g *Gateway) shedFailure(cause error) *relayFailure {
 	}
 }
 
-// park stores the session under its token for the grace window. After
-// shutdown has begun the state is discarded instead.
-func (g *Gateway) park(sess *gwSession) {
-	g.mu.Lock()
-	if g.closed {
-		g.mu.Unlock()
-		g.detach(sess)
-		g.releaseFrames(sess)
-		return
-	}
-	sess.parkGen++
-	gen := sess.parkGen
-	sess.parkTimer = time.AfterFunc(g.cfg.ResumeGrace, func() { g.expirePark(sess, gen) })
-	g.parked[sess.token] = sess
-	g.mu.Unlock()
-}
-
-// takeParked claims a parked session, disarming its grace timer.
-func (g *Gateway) takeParked(token string) *gwSession {
-	g.mu.Lock()
-	p := g.parked[token]
-	if p != nil {
-		delete(g.parked, token)
-		p.parkTimer.Stop()
-	}
-	g.mu.Unlock()
-	return p
-}
-
-// expirePark discards a parked session whose grace window lapsed,
-// releasing its backend leg. The generation check neutralizes a timer
-// that lost the Stop race against a resume.
-func (g *Gateway) expirePark(sess *gwSession, gen int) {
-	g.mu.Lock()
-	if cur := g.parked[sess.token]; cur != sess || sess.parkGen != gen {
-		g.mu.Unlock()
-		return
-	}
-	delete(g.parked, sess.token)
-	g.mu.Unlock()
+// releaseParked frees a parked session the park table gave up — its
+// grace window lapsed (expired) or the gateway shut down — releasing its
+// backend leg and replay ring. An expiry is counted only once the slot
+// and ring are released, so a reader that sees the count also sees the
+// gauges it moved.
+func (g *Gateway) releaseParked(sess *gwSession, expired bool) {
 	g.detach(sess)
 	g.releaseFrames(sess)
-	// Count the expiry only once its slot and ring are released, so a
-	// reader that sees the count also sees the gauges it moved.
-	g.totalExpired.Add(1)
-	g.log.Info("parked session expired", "session", sess.id, "key", sess.key, "frames", sess.framesIn)
+	if expired {
+		g.totalExpired.Add(1)
+		g.log.Info("parked session expired", "session", sess.id, "key", sess.key, "frames", sess.framesIn)
+	}
 }
 
 // readResponse is the per-attachment backend reader: one line (the

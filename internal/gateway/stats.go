@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -69,8 +70,8 @@ func (g *Gateway) Stats() FleetStats {
 		ResumedSessions:   g.totalResumed.Load(),
 		ExpiredSessions:   g.totalExpired.Load(),
 	}
+	st.ParkedSessions = g.parks.Len()
 	g.mu.Lock()
-	st.ParkedSessions = len(g.parked)
 	for _, b := range g.backends {
 		state, lastErr, opens := b.br.current()
 		row := BackendStats{
@@ -168,7 +169,7 @@ func (g *Gateway) BackendsHandler() http.Handler {
 				fmt.Fprintln(w, a)
 			}
 		case http.MethodPost:
-			body, err := readBody(r, requestLimit)
+			body, err := readBody(r, link.RequestLimit)
 			if err != nil {
 				http.Error(w, err.Error(), http.StatusBadRequest)
 				return

@@ -8,7 +8,7 @@ import (
 )
 
 func TestGroupRunsAll(t *testing.T) {
-	var g Group
+	g := Group{Pool: NewPool(0)}
 	var n atomic.Int64
 	for i := 0; i < 100; i++ {
 		g.Go(func() { n.Add(1) })
@@ -19,44 +19,9 @@ func TestGroupRunsAll(t *testing.T) {
 	}
 }
 
-func TestWorkerBoundRespected(t *testing.T) {
-	SetWorkers(2)
-	defer SetWorkers(0)
-	if Workers() != 2 {
-		t.Fatalf("Workers() = %d, want 2", Workers())
-	}
-	var g Group
-	var inFlight, peak atomic.Int64
-	for i := 0; i < 50; i++ {
-		g.Go(func() {
-			c := inFlight.Add(1)
-			for {
-				p := peak.Load()
-				if c <= p || peak.CompareAndSwap(p, c) {
-					break
-				}
-			}
-			inFlight.Add(-1)
-		})
-	}
-	g.Wait()
-	if peak.Load() > 2 {
-		t.Fatalf("observed %d concurrent tasks, bound is 2", peak.Load())
-	}
-}
-
-func TestSetWorkersDefault(t *testing.T) {
-	SetWorkers(0)
-	if Workers() < 1 {
-		t.Fatalf("default Workers() = %d, want >= 1", Workers())
-	}
-}
-
-// TestPoolGroupBound checks a Group bound to its own Pool: the instance
-// bound holds and is independent of the process-wide default.
+// TestPoolGroupBound checks a Group bound to its own Pool: the pool's
+// bound holds.
 func TestPoolGroupBound(t *testing.T) {
-	SetWorkers(8)
-	defer SetWorkers(0)
 	p := NewPool(2)
 	if p.Workers() != 2 {
 		t.Fatalf("Pool.Workers() = %d, want 2", p.Workers())
@@ -114,7 +79,7 @@ func TestGoCtxSkipsOnCancel(t *testing.T) {
 
 // TestGoCtxRunsWithLiveContext: with a live context GoCtx behaves as Go.
 func TestGoCtxRunsWithLiveContext(t *testing.T) {
-	var g Group
+	g := Group{Pool: NewPool(0)}
 	var n atomic.Int64
 	for i := 0; i < 20; i++ {
 		g.GoCtx(context.Background(), func() { n.Add(1) })
@@ -126,12 +91,11 @@ func TestGoCtxRunsWithLiveContext(t *testing.T) {
 }
 
 func TestNestedGroupsDoNotDeadlock(t *testing.T) {
-	SetWorkers(1)
-	defer SetWorkers(0)
 	// An orchestrating goroutine (plain go + Wait) fans leaf tasks into the
 	// shared pool; only leaves hold slots, so a width-1 pool must not
 	// deadlock.
-	var outer Group
+	p := NewPool(1)
+	outer := Group{Pool: p}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -140,7 +104,7 @@ func TestNestedGroupsDoNotDeadlock(t *testing.T) {
 		}
 		outer.Wait()
 	}()
-	var inner Group
+	inner := Group{Pool: p}
 	for i := 0; i < 3; i++ {
 		inner.Go(func() {})
 	}

@@ -8,6 +8,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -25,44 +26,7 @@ const (
 	// defaultReadTimeout bounds the response read, which spans the
 	// server's final analysis of the stream.
 	defaultReadTimeout = 5 * time.Minute
-	// pendingReplyTimeout bounds the read for a server's answer after a
-	// stream write failed: a peer that rejected the session has already
-	// written it, so it is either in the socket buffer or never coming.
-	pendingReplyTimeout = time.Second
 )
-
-// deadlineConn arms a fresh deadline before every Read and Write, so
-// each individual operation — request line, stream frame, response read —
-// is bounded without any call site managing deadlines itself.
-type deadlineConn struct {
-	net.Conn
-	read, write time.Duration
-	// werr is the first failed Write: the stream broke on the transport,
-	// not on a local encoding fault.
-	werr error
-}
-
-func (c *deadlineConn) Read(p []byte) (int, error) {
-	if c.read > 0 {
-		if err := c.Conn.SetReadDeadline(time.Now().Add(c.read)); err != nil {
-			return 0, err
-		}
-	}
-	return c.Conn.Read(p)
-}
-
-func (c *deadlineConn) Write(p []byte) (int, error) {
-	if c.write > 0 {
-		if err := c.Conn.SetWriteDeadline(time.Now().Add(c.write)); err != nil {
-			return 0, err
-		}
-	}
-	n, err := c.Conn.Write(p)
-	if err != nil && c.werr == nil {
-		c.werr = err
-	}
-	return n, err
-}
 
 // ClientSession is the client half of one ingest session: a trace.Sink
 // that streams every record over the wire protocol, so a producer
@@ -76,14 +40,12 @@ func (c *deadlineConn) Write(p []byte) (int, error) {
 // surfaces as a timeout error instead of hanging the producer. The
 // session does not retry — for fault tolerance use ResilientSession.
 type ClientSession struct {
-	conn net.Conn
-	dc   *deadlineConn
-	enc  *wire.Encoder
-	br   *bufio.Reader
+	dc  *link.Conn
+	enc *wire.Encoder
+	br  *bufio.Reader
 
-	resp     *SessionResult
-	finished bool
-	err      error
+	resp *SessionResult
+	err  error
 }
 
 // DialSession opens a connection to a tsserved ingest address and
@@ -100,7 +62,7 @@ func DialSession(addr string, cpus int, req Request) (*ClientSession, error) {
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
-	dc := &deadlineConn{Conn: conn, read: defaultReadTimeout, write: defaultWriteTimeout}
+	dc := &link.Conn{Conn: conn, ReadTimeout: defaultReadTimeout, WriteTimeout: defaultWriteTimeout}
 	line, err := json.Marshal(req)
 	if err != nil {
 		conn.Close()
@@ -111,12 +73,11 @@ func DialSession(addr string, cpus int, req Request) (*ClientSession, error) {
 		return nil, fmt.Errorf("client: sending request: %w", err)
 	}
 	c := &ClientSession{
-		conn: conn,
-		dc:   dc,
-		enc:  wire.NewEncoder(dc, cpus),
-		br:   bufio.NewReader(dc),
+		dc:  dc,
+		enc: wire.NewEncoder(dc, cpus),
+		br:  bufio.NewReader(dc),
 	}
-	if err := c.enc.Err(); err != nil && dc.werr == nil {
+	if err := c.enc.Err(); err != nil && dc.WriteErr() == nil {
 		conn.Close()
 		return nil, err
 	}
@@ -127,10 +88,10 @@ func DialSession(addr string, cpus int, req Request) (*ClientSession, error) {
 // current value; negative disables that bound). Call before streaming.
 func (c *ClientSession) SetTimeouts(read, write time.Duration) {
 	if read != 0 {
-		c.dc.read = max(read, 0)
+		c.dc.ReadTimeout = read
 	}
 	if write != 0 {
-		c.dc.write = max(write, 0)
+		c.dc.WriteTimeout = write
 	}
 }
 
@@ -154,10 +115,10 @@ func (c *ClientSession) Result() (*SessionResult, error) {
 	if c.resp != nil || c.err != nil {
 		return c.resp, c.err
 	}
-	defer c.conn.Close()
+	defer c.dc.Close()
 	if err := c.enc.Close(); err != nil {
 		c.err = err
-		if c.dc.werr != nil {
+		if c.dc.WriteErr() != nil {
 			c.err = c.pendingReply(err)
 		}
 		return nil, c.err
@@ -189,7 +150,7 @@ func (c *ClientSession) Result() (*SessionResult, error) {
 // the socket buffer explains the broken write better than the write
 // error itself; without one, werr stands.
 func (c *ClientSession) pendingReply(werr error) error {
-	c.dc.read = pendingReplyTimeout
+	c.dc.ReadTimeout = link.PendingReplyTimeout
 	line, err := c.br.ReadBytes('\n')
 	if err != nil {
 		return werr
@@ -202,4 +163,4 @@ func (c *ClientSession) pendingReply(werr error) error {
 }
 
 // Close abandons the session without waiting for a result (error paths).
-func (c *ClientSession) Close() error { return c.conn.Close() }
+func (c *ClientSession) Close() error { return c.dc.Close() }

@@ -64,11 +64,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		func() float64 { return float64(s.queued.Load()) })
 	reg.GaugeFunc("tsserved_sessions_parked",
 		"Sessions currently parked awaiting resumption.",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.parked))
-		})
+		func() float64 { return float64(s.parks.Len()) })
 	reg.GaugeFunc("tsserved_analyzer_slots",
 		"Size of the analyzer pool (Config.MaxSessions).",
 		func() float64 { return float64(cap(s.slots)) })

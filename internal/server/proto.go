@@ -191,7 +191,7 @@ type SessionResult struct {
 // ResultOf condenses a ContextResult into its serializable image. It is
 // the single definition of "the session's result" — the server builds its
 // response with it, and equivalence tests apply it to an in-process
-// CollectStreaming result to prove the wire path changes nothing.
+// Runner.Run result to prove the wire path changes nothing.
 func ResultOf(cr *tempstream.ContextResult) *SessionResult {
 	a := cr.Analysis
 	states := a.StateCounts()

@@ -9,6 +9,7 @@ import (
 	"net"
 	"time"
 
+	"repro/internal/link"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -180,9 +181,16 @@ type ctlMsg struct {
 // reader even if nobody drains its channel.
 type connEpoch struct {
 	conn  net.Conn
-	dc    *deadlineConn
+	dc    *link.Conn
 	lines chan ctlMsg
 	done  chan struct{}
+}
+
+// abort ends the epoch: the conn closes (unblocking the reader) and done
+// releases the reader even if its channel send is pending.
+func (ep *connEpoch) abort() {
+	close(ep.done)
+	ep.conn.Close()
 }
 
 // ResilientSession is the fault-tolerant client half of one ingest
@@ -354,7 +362,28 @@ func (s *ResilientSession) enqueue(data []byte) {
 		return
 	}
 	if _, err := ep.dc.Write(fr.data); err != nil {
-		s.recover(err)
+		s.awaitReply(err)
+	}
+}
+
+// awaitReply handles a failed stream write on the installed epoch. A
+// server that rejected the session wrote its answer before it closed, and
+// that answer, not the broken pipe, says whether a retry can help. So the
+// lines still arriving are handled first, for up to
+// link.PendingReplyTimeout, and only then does the write failure start a
+// recovery.
+func (s *ResilientSession) awaitReply(werr error) {
+	timeout := time.After(link.PendingReplyTimeout)
+	for {
+		select {
+		case msg := <-s.epoch.lines:
+			if !s.handleLine(msg) {
+				return
+			}
+		case <-timeout:
+			s.recover(werr)
+			return
+		}
 	}
 }
 
@@ -388,35 +417,46 @@ func (s *ResilientSession) awaitAck() {
 	}
 }
 
-// handleLine processes one control line. It returns false when the
-// current epoch is no longer valid (recovery ran, the session completed,
-// or it failed terminally).
+// handleLine processes one control line of the installed epoch. It
+// returns false when the current epoch is no longer valid (recovery ran,
+// the session completed, or it failed terminally).
 func (s *ResilientSession) handleLine(msg ctlMsg) bool {
 	if msg.err != nil {
 		s.recover(msg.err)
 		return false
 	}
-	l := msg.line
+	end, err := s.applyLine(msg.line)
+	if !end {
+		return true
+	}
+	var re *retryErr
+	switch {
+	case err == nil: // the result line
+	case errors.As(err, &re):
+		s.hint = re.hint
+		s.recover(re.err)
+	default:
+		s.err = err
+		s.dropEpoch()
+	}
+	return false
+}
+
+// applyLine folds one server control line into the session: an ack
+// advances the resume window, a result completes the session (s.resp),
+// and an error line is classified and returned. It reports whether the
+// line ended the connection's part of the session.
+func (s *ResilientSession) applyLine(l controlLine) (end bool, err error) {
 	switch {
 	case l.Ack != nil:
 		s.dropAcked(*l.Ack)
-		return true
 	case l.Result != nil:
 		s.resp = l.Result
-		return false
+		return true, nil
 	case l.Error != "":
-		err := s.classifyServerError(l)
-		var re *retryErr
-		if errors.As(err, &re) {
-			s.hint = re.hint
-			s.recover(re.err)
-		} else {
-			s.err = err
-			s.dropEpoch()
-		}
-		return false
+		return true, s.classifyServerError(l)
 	}
-	return true
+	return false, nil
 }
 
 // dropAcked discards ring frames the server has fully consumed.
@@ -555,7 +595,7 @@ func (s *ResilientSession) attempt() error {
 		s.stats.Transport++
 		return &retryErr{err: err}
 	}
-	dc := &deadlineConn{Conn: conn, write: s.pol.IOTimeout}
+	dc := &link.Conn{Conn: conn, WriteTimeout: s.pol.IOTimeout}
 	req := s.req
 	req.Resume = &ResumeRequest{Token: s.token}
 	line, err := json.Marshal(req)
@@ -575,10 +615,6 @@ func (s *ResilientSession) attempt() error {
 		done:  make(chan struct{}),
 	}
 	go readControl(conn, ep.lines, ep.done)
-	abort := func() {
-		close(ep.done)
-		conn.Close()
-	}
 
 	// The hello arrives once the server admits the session (it may queue
 	// first); an error line here instead is a shed or a resume failure.
@@ -586,21 +622,21 @@ func (s *ResilientSession) attempt() error {
 	select {
 	case msg = <-ep.lines:
 	case <-time.After(s.pol.HelloTimeout):
-		abort()
+		ep.abort()
 		return &retryErr{err: fmt.Errorf("resilient: no hello within %v", s.pol.HelloTimeout)}
 	}
 	if msg.err != nil {
-		abort()
+		ep.abort()
 		s.stats.Transport++
 		return &retryErr{err: msg.err}
 	}
 	l := msg.line
 	if l.Error != "" {
-		abort()
+		ep.abort()
 		return s.classifyServerError(l)
 	}
 	if l.Token == "" {
-		abort()
+		ep.abort()
 		return errors.New("resilient: server hello carried no session token")
 	}
 	resuming := s.token != ""
@@ -615,14 +651,12 @@ func (s *ResilientSession) attempt() error {
 	}
 	next := l.NextFrame
 	if next < s.ackedTo || next > s.nextSeq {
-		abort()
+		ep.abort()
 		return fmt.Errorf("resilient: server resume position %d outside acked window [%d, %d]", next, s.ackedTo, s.nextSeq)
 	}
 	s.dropAcked(next)
 	if _, err := dc.Write(s.prefix); err != nil {
-		abort()
-		s.stats.Transport++
-		return &retryErr{err: err}
+		return s.replayFailed(ep, err)
 	}
 	// Replay unacknowledged frames from the server's position, polling
 	// control lines between writes: acks for frames the server consumes
@@ -634,7 +668,7 @@ func (s *ResilientSession) attempt() error {
 	// doomed connection's partial progress is lost with it.
 	for send := s.ackedTo; send < s.nextSeq; {
 		if err := s.pollReplay(ep); err != nil {
-			abort()
+			ep.abort()
 			return err
 		}
 		if s.resp != nil {
@@ -648,15 +682,7 @@ func (s *ResilientSession) attempt() error {
 		}
 		fr := s.ring[int(send-s.ring[0].seq)]
 		if _, err := dc.Write(fr.data); err != nil {
-			// Sweep acks that raced the failure: the progress this
-			// replay made still counts toward the next attempt.
-			s.pollReplay(ep)
-			abort()
-			if s.resp != nil {
-				return nil
-			}
-			s.stats.Transport++
-			return &retryErr{err: err}
+			return s.replayFailed(ep, err)
 		}
 		send++
 	}
@@ -682,15 +708,8 @@ func (s *ResilientSession) pollReplay(ep *connEpoch) error {
 				s.stats.Transport++
 				return &retryErr{err: msg.err}
 			}
-			l := msg.line
-			switch {
-			case l.Ack != nil:
-				s.dropAcked(*l.Ack)
-			case l.Result != nil:
-				s.resp = l.Result
-				return nil
-			case l.Error != "":
-				return s.classifyServerError(l)
+			if end, err := s.applyLine(msg.line); end {
+				return err
 			}
 		default:
 			return nil
@@ -698,15 +717,40 @@ func (s *ResilientSession) pollReplay(ep *connEpoch) error {
 	}
 }
 
-// dropEpoch abandons the current connection: the conn closes (unblocking
-// the reader) and the done channel releases the reader even if its
-// channel send is pending.
+// replayFailed ends an attempt whose write on ep failed with werr. Like
+// awaitReply it first gives the server's pending answer up to
+// link.PendingReplyTimeout to arrive, consuming the acks that raced the
+// failure, so the progress this replay made still counts toward the next
+// attempt. A result line completes the session (nil error) and a server
+// error line is returned classified; otherwise werr is a transport
+// failure.
+func (s *ResilientSession) replayFailed(ep *connEpoch, werr error) error {
+	defer ep.abort()
+	timeout := time.After(link.PendingReplyTimeout)
+wait:
+	for {
+		select {
+		case msg := <-ep.lines:
+			if msg.err != nil {
+				break wait
+			}
+			if end, err := s.applyLine(msg.line); end {
+				return err
+			}
+		case <-timeout:
+			break wait
+		}
+	}
+	s.stats.Transport++
+	return &retryErr{err: werr}
+}
+
+// dropEpoch abandons the current connection.
 func (s *ResilientSession) dropEpoch() {
 	if s.epoch == nil {
 		return
 	}
-	close(s.epoch.done)
-	s.epoch.conn.Close()
+	s.epoch.abort()
 	s.epoch = nil
 }
 

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"net"
 	"reflect"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -494,5 +496,125 @@ func TestResilientBadRequestTerminal(t *testing.T) {
 	}
 	if d := dials.Load(); d != 1 {
 		t.Errorf("dials = %d, want 1 (terminal errors must not be retried)", d)
+	}
+}
+
+// heldAfterHello is a resilient client's conn that forces the early-reject
+// ordering. Its writes after the request line wait until the server has
+// answered and closed; the server's first line (the hello) reads through
+// at once, but every later byte is held until one of the client's writes
+// has failed, and a little longer. So a stream write fails before the
+// server's rejection can be read.
+type heldAfterHello struct {
+	net.Conn
+	answered <-chan struct{} // closed once the server answered and closed
+	writes   int
+
+	helloRead bool
+	held      []byte // bytes read past the hello, delivered once released
+
+	failOnce, closeOnce sync.Once
+	failed, closed      chan struct{}
+}
+
+func (c *heldAfterHello) Write(p []byte) (int, error) {
+	if c.writes++; c.writes > 1 { // the request line goes through
+		<-c.answered
+	}
+	n, err := c.Conn.Write(p)
+	if err != nil {
+		c.failOnce.Do(func() { close(c.failed) })
+	}
+	return n, err
+}
+
+func (c *heldAfterHello) Read(p []byte) (int, error) {
+	if !c.helloRead {
+		n, err := c.Conn.Read(p)
+		if i := bytes.IndexByte(p[:n], '\n'); i >= 0 {
+			c.helloRead = true
+			c.held = append(c.held, p[i+1:n]...)
+			return i + 1, nil
+		}
+		return n, err
+	}
+	select {
+	case <-c.failed:
+		time.Sleep(50 * time.Millisecond)
+	case <-c.closed:
+	}
+	if len(c.held) > 0 {
+		n := copy(p, c.held)
+		c.held = c.held[n:]
+		return n, nil
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *heldAfterHello) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestResilientReadsRejectionAfterBrokenWrite pins ResilientSession's
+// half of an early rejection: a server that admits the session, then
+// rejects it with a typed non-retryable code before reading the stream
+// and closes, breaks the client's next stream write before the client
+// has read the answer. The session must report that answer — after one
+// dial, not as a broken pipe or an exhausted retry budget.
+func TestResilientReadsRejectionAfterBrokenWrite(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	defer ln.Close()
+	answered := make(chan struct{})
+	var answerOnce sync.Once
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			bufio.NewReader(conn).ReadBytes('\n')
+			conn.Write([]byte(`{"token":"stub","next_frame":0}` + "\n" +
+				`{"error":"stub rejects every session","code":"bad_request"}` + "\n"))
+			conn.Close()
+			answerOnce.Do(func() { close(answered) })
+		}
+	}()
+
+	var dials atomic.Int64
+	pol := server.RetryPolicy{
+		BaseDelay:   time.Millisecond,
+		MaxAttempts: 3,
+		Dial: func(addr string) (net.Conn, error) {
+			dials.Add(1)
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			return &heldAfterHello{Conn: conn, answered: answered,
+				failed: make(chan struct{}), closed: make(chan struct{})}, nil
+		},
+	}
+	// The write that breaks is the stream prefix (inside the dial) or a
+	// later frame, depending on when the close reaches the client.
+	rs, err := server.DialResilient(ln.Addr().String(), 2, server.Request{}, pol)
+	if err == nil {
+		for _, m := range synthMisses(20000, 2, 5) {
+			rs.Append(m)
+		}
+		rs.Finish(trace.Header{CPUs: 2})
+		_, err = rs.Result()
+	}
+	if err == nil || !strings.Contains(err.Error(), "stub rejects every session") {
+		t.Errorf("err = %v, want the stub's rejection", err)
+	}
+	if errors.Is(err, server.ErrRetriesExhausted) {
+		t.Errorf("terminal rejection reported as retries exhausted: %v", err)
+	}
+	if d := dials.Load(); d != 1 {
+		t.Errorf("dials = %d, want 1 (a terminal rejection must not be retried)", d)
 	}
 }

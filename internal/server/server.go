@@ -3,12 +3,9 @@ package server
 import (
 	"bufio"
 	"context"
-	crand "crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -19,6 +16,7 @@ import (
 
 	tempstream "repro"
 	"repro/internal/core"
+	"repro/internal/link"
 	"repro/internal/obs"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -53,22 +51,9 @@ const (
 	StateParked = "parked"
 )
 
-// requestLimit bounds the negotiation line; a request is a small JSON
-// object, so anything larger is a confused or hostile client.
-const requestLimit = 64 << 10
-
-var errRequestTooLarge = fmt.Errorf("request exceeds %d bytes", requestLimit)
-
 // finishedTTL is how long a completed session stays visible in Stats
 // before being pruned from the table.
 const finishedTTL = time.Minute
-
-// A failed connection lingers before it closes (see linger): at most
-// lingerTimeout, discarding at most lingerBytes of the peer's input.
-const (
-	lingerTimeout = time.Second
-	lingerBytes   = 1 << 20
-)
 
 // Prefetch-config ceilings: a server session never evaluates the
 // idealized unbounded prefetcher (HistoryLen/BufferBlocks 0), because its
@@ -218,24 +203,6 @@ func (c *idleConn) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// ctlWriter serializes the server's control-channel lines (hello, acks,
-// the final response) with a write deadline per line, so a dead or
-// wedged peer can never pin a session goroutine in a write.
-type ctlWriter struct {
-	conn    net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
-}
-
-func (w *ctlWriter) writeLine(v any) error {
-	w.conn.SetWriteDeadline(time.Now().Add(w.timeout))
-	defer w.conn.SetWriteDeadline(time.Time{})
-	if err := json.NewEncoder(w.bw).Encode(v); err != nil {
-		return err
-	}
-	return w.bw.Flush()
-}
-
 // Server is the ingest daemon: it accepts connections, multiplexes
 // bounded concurrent sessions onto the pooled streaming-analysis
 // machinery, and serves live stats. Create with Listen, run with Serve,
@@ -255,8 +222,9 @@ type Server struct {
 
 	mu       sync.Mutex
 	sessions map[uint64]*session
-	parked   map[string]*parkedSession
 	closed   bool
+
+	parks *link.ParkTable[*parkedSession]
 
 	nextID        atomic.Uint64
 	totalSessions atomic.Int64
@@ -288,7 +256,6 @@ type session struct {
 	label   string
 	via     string
 	remote  string
-	conn    net.Conn
 	started time.Time
 
 	state   atomic.Pointer[string]
@@ -322,12 +289,6 @@ type parkedSession struct {
 	frames  int64
 	records int64
 	done    *SessionResult
-
-	// gen guards the grace timer: park re-arms bump it (under Server.mu),
-	// so a stale timer that lost the Stop race cannot expire a re-parked
-	// entry.
-	gen   int
-	timer *time.Timer
 }
 
 // sessionFailure is runSession's error form: the machine-readable code
@@ -343,16 +304,6 @@ type sessionFailure struct {
 
 func failf(code ErrCode, format string, args ...any) *sessionFailure {
 	return &sessionFailure{code: code, err: fmt.Errorf(format, args...)}
-}
-
-// newToken mints a resume token: 128 random bits, unguessable so one
-// client cannot resume (and so steal or corrupt) another's session.
-func newToken() string {
-	var b [16]byte
-	if _, err := crand.Read(b[:]); err != nil {
-		panic("server: reading random token: " + err.Error())
-	}
-	return hex.EncodeToString(b[:])
 }
 
 // Listen binds the ingest listener on addr (e.g. ":7465" or
@@ -377,10 +328,10 @@ func NewServer(ln net.Listener, cfg Config) *Server {
 		baseCtx:   baseCtx,
 		cancelAll: cancelAll,
 		sessions:  make(map[uint64]*session),
-		parked:    make(map[string]*parkedSession),
 		start:     time.Now(),
 		log:       cfg.Logger,
 	}
+	s.parks = link.NewParkTable(cfg.ResumeGrace, s.releaseParked)
 	s.metrics = newServerMetrics(s)
 	return s
 }
@@ -432,8 +383,8 @@ func (s *Server) connDone() {
 // Shutdown stops accepting and drains: in-flight and queued sessions run
 // to completion. If ctx expires first, remaining connections are closed
 // forcibly and ctx.Err is returned. Parked sessions cannot outlive the
-// server: once the drain completes their state is discarded (the
-// listener is closed, so no resume can arrive).
+// server: once the drain completes their state is discarded, and so is
+// any parked later (the listener is closed, so no resume can arrive).
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	already := s.closed
@@ -453,23 +404,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if !already {
 		s.log.Info("shutdown: draining")
 	}
-	if done == nil {
-		s.closeParked()
-		return nil
+	var err error
+	if done != nil {
+		select {
+		case <-done:
+		case <-ctx.Done():
+			// One cancellation fans out through the session context tree:
+			// queued waits abort with the draining cause, and each live
+			// connection's AfterFunc closes its conn, unblocking any read.
+			s.cancelAll(errDraining)
+			<-done
+			err = ctx.Err()
+		}
 	}
-	select {
-	case <-done:
-		s.closeParked()
-		return nil
-	case <-ctx.Done():
-		// One cancellation fans out through the session context tree:
-		// queued waits abort with the draining cause, and each live
-		// connection's AfterFunc closes its conn, unblocking any read.
-		s.cancelAll(errDraining)
-		<-done
-		s.closeParked()
-		return ctx.Err()
-	}
+	s.parks.Close()
+	return err
 }
 
 // Close stops the server immediately (no drain).
@@ -482,67 +431,15 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// park stores an interrupted (or completed) resumable session's state
-// under its token for the grace window. After Shutdown has begun the
-// state is discarded instead: the listener is closed, no resume can
-// arrive, and parked analyzers must not outlive the server.
-func (s *Server) park(p *parkedSession) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		p.discard()
-		return
-	}
-	p.gen++
-	gen := p.gen
-	p.timer = time.AfterFunc(s.cfg.ResumeGrace, func() { s.expirePark(p, gen) })
-	s.parked[p.token] = p
-	s.mu.Unlock()
-}
-
-// takeParked claims a parked session, removing it from the table and
-// disarming its grace timer. The caller owns the returned state: it must
-// consume it, re-park it, or close its tempstream.Session.
-func (s *Server) takeParked(token string) *parkedSession {
-	s.mu.Lock()
-	p := s.parked[token]
-	if p != nil {
-		delete(s.parked, token)
-		p.timer.Stop()
-	}
-	s.mu.Unlock()
-	return p
-}
-
-// expirePark discards a parked session whose grace window lapsed. The
-// generation check makes a stale timer (one whose Stop raced its firing)
-// a no-op even when the same state has been re-parked since.
-func (s *Server) expirePark(p *parkedSession, gen int) {
-	s.mu.Lock()
-	if cur := s.parked[p.token]; cur != p || p.gen != gen {
-		s.mu.Unlock()
-		return
-	}
-	delete(s.parked, p.token)
-	s.mu.Unlock()
-	s.totalExpired.Add(1)
-	s.log.Info("parked session expired", "label", p.label, "frames", p.frames, "records", p.records)
+// releaseParked frees a parked session the park table gave up: its grace
+// window lapsed (expired) or the server shut down. The expiry is counted
+// once the state is freed, so a reader that sees the count also sees the
+// analyzer back in its pool.
+func (s *Server) releaseParked(p *parkedSession, expired bool) {
 	p.discard()
-}
-
-// closeParked discards every parked session (at end of Shutdown, after
-// s.closed prevents new parks).
-func (s *Server) closeParked() {
-	s.mu.Lock()
-	ps := make([]*parkedSession, 0, len(s.parked))
-	for _, p := range s.parked {
-		ps = append(ps, p)
-	}
-	s.parked = make(map[string]*parkedSession)
-	s.mu.Unlock()
-	for _, p := range ps {
-		p.timer.Stop()
-		p.discard()
+	if expired {
+		s.totalExpired.Add(1)
+		s.log.Info("parked session expired", "label", p.label, "frames", p.frames, "records", p.records)
 	}
 }
 
@@ -626,7 +523,6 @@ func (s *Server) handle(conn net.Conn) {
 	sess := &session{
 		id:      s.nextID.Add(1),
 		remote:  conn.RemoteAddr().String(),
-		conn:    conn,
 		started: time.Now(),
 	}
 	sess.setState(StateQueued)
@@ -634,12 +530,12 @@ func (s *Server) handle(conn net.Conn) {
 	s.totalSessions.Add(1)
 
 	ic := &idleConn{Conn: conn, timeout: s.cfg.IdleTimeout, cancel: cancel, bytes: s.metrics.bytesRead}
-	cw := &ctlWriter{conn: conn, bw: bufio.NewWriter(conn), timeout: s.cfg.IdleTimeout}
+	cw := link.NewLineWriter(&link.Conn{Conn: conn, WriteTimeout: s.cfg.IdleTimeout})
 	res, probe, fail := s.runSession(ctx, sess, ic, cw)
 	if probe != nil {
 		// A health probe, not a session: its row and count were already
 		// retired in runSession; just deliver the snapshot.
-		cw.writeLine(Response{Stats: probe})
+		cw.WriteJSON(Response{Stats: probe})
 		return
 	}
 	if fail != nil && ic.teardown {
@@ -706,27 +602,10 @@ func (s *Server) handle(conn net.Conn) {
 			"code", string(fail.code), "error", fail.err.Error())...)
 	}
 
-	cw.writeLine(resp) // best effort: the peer may be gone
+	cw.WriteJSON(resp) // best effort: the peer may be gone
 	if fail != nil {
-		linger(conn)
+		link.Linger(conn)
 	}
-}
-
-// linger is a lingering close's first half, for a connection that failed
-// while its peer may still be sending (a rejected request is answered
-// before the stream behind it is read). Closing with unread input would
-// reset the connection, and the reset can beat the response to the
-// peer's next write, which then fails without the answer. So linger
-// half-closes the write side, letting the response travel ahead of a FIN,
-// and discards input until the peer closes or a bound is reached. The
-// caller closes the connection.
-func linger(conn net.Conn) {
-	cw, ok := conn.(interface{ CloseWrite() error })
-	if !ok || cw.CloseWrite() != nil {
-		return
-	}
-	conn.SetReadDeadline(time.Now().Add(lingerTimeout))
-	io.CopyN(io.Discard, conn, lingerBytes)
 }
 
 // runSession negotiates, acquires a slot, and streams the connection's
@@ -742,13 +621,13 @@ func linger(conn net.Conn) {
 // and — if the stream dies at a clean frame boundary — parks the
 // analyzer state under the token for Config.ResumeGrace so the client
 // can reconnect and continue the same incremental analysis.
-func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw *ctlWriter) (*SessionResult, *Stats, *sessionFailure) {
+func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw *link.LineWriter) (*SessionResult, *Stats, *sessionFailure) {
 	br := bufio.NewReaderSize(ic, 64<<10)
 
 	// Negotiation: one JSON line.
-	line, err := readLine(br, requestLimit)
+	line, err := link.ReadRequest(br)
 	if err != nil {
-		if errors.Is(err, errRequestTooLarge) {
+		if errors.Is(err, link.ErrRequestTooLarge) {
 			return nil, nil, &sessionFailure{code: CodeTooLarge, err: err}
 		}
 		return nil, nil, failf(CodeBadRequest, "reading request: %v", err)
@@ -779,7 +658,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	resumable := req.Resume != nil
 	var parked *parkedSession
 	if resumable && req.Resume.Token != "" {
-		if parked = s.takeParked(req.Resume.Token); parked == nil {
+		if parked = s.parks.Take(req.Resume.Token); parked == nil {
 			return nil, nil, failf(CodeResumeUnknown, "resume token unknown or expired (grace window %v)", s.cfg.ResumeGrace)
 		}
 		s.mu.Lock()
@@ -789,9 +668,9 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		// without touching the slot pool, and re-park it in case this
 		// response line is lost too.
 		if parked.done != nil {
-			cw.writeLine(Hello{Token: parked.token, NextFrame: parked.frames, Done: true})
+			cw.WriteJSON(Hello{Token: parked.token, NextFrame: parked.frames, Done: true})
 			done := parked.done
-			s.park(parked)
+			s.parks.Park(parked.token, parked)
 			return done, nil, nil
 		}
 		s.totalResumed.Add(1)
@@ -821,7 +700,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	if s.cfg.MaxQueue > 0 && int(s.queued.Load()) >= s.cfg.MaxQueue {
 		s.totalShed.Add(1)
 		if parked != nil {
-			s.park(parked)
+			s.parks.Park(parked.token, parked)
 		}
 		return nil, nil, &sessionFailure{
 			code:       CodeBusy,
@@ -847,7 +726,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		cause := context.Cause(slotCtx)
 		cancelSlot()
 		if parked != nil {
-			s.park(parked)
+			s.parks.Park(parked.token, parked)
 		}
 		switch {
 		case errors.Is(cause, errSlotWait):
@@ -873,7 +752,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 	if parked != nil {
 		token = parked.token
 	} else if resumable {
-		token = newToken()
+		token = link.NewToken()
 	}
 	dec := wire.NewDecoder(br)
 	if resumable {
@@ -881,21 +760,21 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		if parked != nil {
 			nextFrame = parked.frames
 		}
-		if err := cw.writeLine(Hello{Token: token, NextFrame: nextFrame}); err != nil {
+		if err := cw.WriteJSON(Hello{Token: token, NextFrame: nextFrame}); err != nil {
 			if parked != nil {
-				s.park(parked)
+				s.parks.Park(parked.token, parked)
 			}
 			return nil, nil, &sessionFailure{code: CodeStream, err: fmt.Errorf("writing hello: %w", err), parked: parked != nil}
 		}
 		dec.SetFrameHook(func(frames, records int64) error {
-			return cw.writeLine(Ack{Ack: frames})
+			return cw.WriteJSON(Ack{Ack: frames})
 		})
 	}
 
 	meta, err := dec.Meta()
 	if err != nil {
 		if parked != nil {
-			s.park(parked)
+			s.parks.Park(parked.token, parked)
 			return nil, nil, &sessionFailure{code: CodeStream, err: err, parked: true}
 		}
 		return nil, nil, &sessionFailure{code: CodeStream, err: err}
@@ -964,7 +843,7 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		if resumable && dec.Resumable() {
 			chain, frames, records := dec.Progress()
 			s.totalParked.Add(1)
-			s.park(&parkedSession{
+			s.parks.Park(token, &parkedSession{
 				token:   token,
 				label:   sess.label,
 				cpus:    meta.CPUs,
@@ -989,26 +868,9 @@ func (s *Server) runSession(ctx context.Context, sess *session, ic *idleConn, cw
 		// a reset, the client resumes and collects it from the park table
 		// instead of failing with resume_unknown.
 		_, frames, _ := dec.Progress()
-		s.park(&parkedSession{token: token, label: sess.label, frames: frames, done: res})
+		s.parks.Park(token, &parkedSession{token: token, label: sess.label, frames: frames, done: res})
 	}
 	return res, nil, nil
-}
-
-// readLine reads one \n-terminated line of at most limit bytes without
-// buffering an unbounded amount.
-func readLine(br *bufio.Reader, limit int) ([]byte, error) {
-	var line []byte
-	for len(line) <= limit {
-		b, err := br.ReadByte()
-		if err != nil {
-			return nil, err
-		}
-		if b == '\n' {
-			return line, nil
-		}
-		line = append(line, b)
-	}
-	return nil, errRequestTooLarge
 }
 
 // SessionStats is one session's row in the stats snapshot.
@@ -1067,8 +929,8 @@ func (s *Server) Stats() Stats {
 	// StateQueued, which also covers the instant between accept and the
 	// request line being read.
 	st.QueuedSessions = int(s.queued.Load())
+	st.ParkedSessions = s.parks.Len()
 	s.mu.Lock()
-	st.ParkedSessions = len(s.parked)
 	for _, sess := range s.sessions {
 		state := *sess.state.Load()
 		end := now

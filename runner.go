@@ -36,7 +36,7 @@ type Request struct {
 	Prefetch *prefetch.Config
 	// KeepTraces materializes the per-context traces (ContextResult.Trace
 	// and the raw workload results' OffChip/IntraChip), costing O(trace)
-	// memory: the batch semantics of the deprecated entrypoints. Off by
+	// memory: batch semantics, as for a materialize-then-analyze run. Off by
 	// default — results then carry only headers and analyses, and peak
 	// memory is bounded by the analysis window.
 	KeepTraces bool
@@ -95,13 +95,9 @@ func WithIntraParallelism(depth int) Option {
 // concurrent use, and all of its Run/RunAll calls schedule on the same
 // pool, so a service can cap its total simulation concurrency in one
 // place without process-global state.
-//
-// The zero Runner is also valid: it schedules on the process-wide
-// default pool (the one the deprecated SetWorkers tunes), which is what
-// the deprecated entrypoints use.
 type Runner struct {
-	pool      *par.Pool // nil = process-wide default pool
-	pipeDepth int       // default intra-run pipeline depth; 0 = serial
+	pool      *par.Pool
+	pipeDepth int // default intra-run pipeline depth; 0 = serial
 }
 
 // NewRunner returns a Runner with its own worker pool (default
@@ -118,12 +114,7 @@ func NewRunner(opts ...Option) *Runner {
 }
 
 // Workers returns the Runner's concurrency bound.
-func (r *Runner) Workers() int {
-	if r.pool == nil {
-		return par.Workers()
-	}
-	return r.pool.Workers()
-}
+func (r *Runner) Workers() int { return r.pool.Workers() }
 
 // Run executes one Request: both machine simulations run concurrently on
 // the Runner's pool, each streaming its classified misses straight into

@@ -6,14 +6,13 @@ import (
 	"testing"
 )
 
-// TestRunnerRunMatchesDeprecatedCollect pins the migration contract: a
-// Runner with its own pool, given a KeepTraces request, must produce the
-// experiment the deprecated batch entrypoint produces — field for field,
-// traces included. (The deprecated entrypoint is itself pinned against
-// the strictly serial reference by TestConcurrentCollectMatchesSerial,
-// so this transitively pins Runner.Run to the seed semantics.)
+// TestRunnerRunMatchesDeprecatedCollect pins the migration contract of
+// the removed batch entrypoint: a Runner with its own pool, given a
+// KeepTraces request with that entrypoint's parameters (seed 1, a
+// 35000-miss window), must produce the strictly serial reference
+// experiment field for field, traces included.
 func TestRunnerRunMatchesDeprecatedCollect(t *testing.T) {
-	want := collect(t, Apache)
+	want := collectSerial(Apache, Small, 1, 35000)
 	r := NewRunner(WithWorkers(2))
 	got, err := r.Run(context.Background(), Request{
 		App: Apache, Scale: Small, Seed: 1, TargetMisses: 35000, KeepTraces: true,

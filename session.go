@@ -291,9 +291,3 @@ func (s *Session) Close() error {
 // driving goroutine, or after the drive has quiesced (after Finish, or
 // after a wrapping Pipelined's Close).
 func (s *Session) BusySeconds() float64 { return float64(s.busyNs) / 1e9 }
-
-// Abandon discards a session without computing results.
-//
-// Deprecated: use Close, which additionally reports whether a live
-// stream was discarded.
-func (s *Session) Abandon() { s.Close() }

@@ -19,8 +19,8 @@
 // stream as the simulators produce it, so nothing is materialized and
 // peak memory is bounded by the analysis window instead of the trace.
 // Request.KeepTraces additionally materializes the per-context traces,
-// recovering the batch results of the deprecated Collect entrypoints
-// field for field.
+// recovering the batch (materialize-then-analyze) results field for
+// field.
 //
 // Sweeps fan out with RunAll, which yields experiments as they complete:
 //
@@ -151,8 +151,8 @@ type Experiment struct {
 	SingleChip *workload.Result
 	// Stages traces where the run's wall-clock went (simulate vs analyze
 	// per machine and context, pipeline stall counters). Always populated
-	// by Runner.Run; nil on experiments built by other paths (deprecated
-	// batch entrypoints, hand-assembled tests).
+	// by Runner.Run; nil on experiments built by other paths
+	// (hand-assembled tests).
 	Stages *StageStats
 }
 

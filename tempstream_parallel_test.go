@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -98,27 +99,26 @@ func compareExperiments(t *testing.T, got, want *Experiment) {
 }
 
 // TestConcurrentCollectMatchesSerial is the pipeline determinism guard:
-// the concurrent Collect path must equal the strictly serial reference
-// field for field, at several worker counts.
+// Runner.Run with KeepTraces, whose two machine simulations run
+// concurrently on the Runner's pool, must equal the strictly serial
+// reference field for field at every worker count (0 = GOMAXPROCS).
 func TestConcurrentCollectMatchesSerial(t *testing.T) {
 	const (
 		seed   = 3
 		target = 9000
 	)
 	want := collectSerial(Apache, Small, seed, target)
-	for _, workers := range []int{1, 4} {
-		SetWorkers(workers)
-		got := Collect(Apache, Small, seed, target)
+	for _, workers := range []int{1, 4, 0} {
+		got := runExp(t, NewRunner(WithWorkers(workers)), Request{
+			App: Apache, Scale: Small, Seed: seed, TargetMisses: target, KeepTraces: true,
+		})
 		compareExperiments(t, got, want)
 	}
-	SetWorkers(0)
-	got := Collect(Apache, Small, seed, target)
-	compareExperiments(t, got, want)
 }
 
-// TestCollectAllDeterministicOrder checks that the parallel CollectAll
-// returns experiments in Apps() order and that repeated runs are
-// identical.
+// TestCollectAllDeterministicOrder checks that a RunAll sweep over every
+// app is repeatable: each app yields exactly once per sweep, and its
+// experiment is identical across sweeps whatever order they complete in.
 func TestCollectAllDeterministicOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping multi-app determinism sweep in short mode")
@@ -127,16 +127,28 @@ func TestCollectAllDeterministicOrder(t *testing.T) {
 		seed   = 5
 		target = 3000
 	)
-	a := CollectAll(Small, seed, target)
-	b := CollectAll(Small, seed, target)
-	apps := Apps()
-	if len(a) != len(apps) || len(b) != len(apps) {
-		t.Fatalf("CollectAll returned %d/%d experiments, want %d", len(a), len(b), len(apps))
-	}
-	for i, app := range apps {
-		if a[i].App != app || b[i].App != app {
-			t.Fatalf("experiment %d is %v/%v, want %v (Apps() order)", i, a[i].App, b[i].App, app)
+	sweep := func() map[App]*Experiment {
+		var reqs []Request
+		for _, app := range Apps() {
+			reqs = append(reqs, Request{App: app, Scale: Small, Seed: seed, TargetMisses: target, KeepTraces: true})
 		}
-		compareExperiments(t, b[i], a[i])
+		out := make(map[App]*Experiment)
+		for exp, err := range NewRunner().RunAll(context.Background(), reqs...) {
+			if err != nil {
+				t.Fatalf("RunAll: %v", err)
+			}
+			if out[exp.App] != nil {
+				t.Fatalf("RunAll yielded %v twice", exp.App)
+			}
+			out[exp.App] = exp
+		}
+		return out
+	}
+	a, b := sweep(), sweep()
+	for _, app := range Apps() {
+		if a[app] == nil || b[app] == nil {
+			t.Fatalf("RunAll sweep missed %v", app)
+		}
+		compareExperiments(t, b[app], a[app])
 	}
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // TestSessionSinkConformance applies the shared Sink harness to the
-// streaming Session (the consumer behind CollectStreaming and the ingest
+// streaming Session (the consumer behind Runner.Run and the ingest
 // server). KeepTraces makes the session observable: the kept trace must
 // be the driven stream verbatim, and the result header the folded Finish.
 func TestSessionSinkConformance(t *testing.T) {
@@ -97,7 +97,7 @@ func TestSessionBatchMatchesAppend(t *testing.T) {
 	}
 }
 
-// TestSessionAbandon checks the error-path escape hatch: abandoning a
+// TestSessionAbandon checks the error-path escape hatch: closing a
 // half-fed session must be safe, and the pooled analyzer must come back
 // reusable.
 func TestSessionAbandon(t *testing.T) {
@@ -105,7 +105,9 @@ func TestSessionAbandon(t *testing.T) {
 	for _, m := range sinktest.Misses(10000, 4) {
 		s.Append(m)
 	}
-	s.Abandon()
+	if err := s.Close(); err != ErrSessionAborted {
+		t.Errorf("Close of a half-fed session = %v, want ErrSessionAborted", err)
+	}
 
 	// The pool must hand out working analyzers afterwards.
 	s2 := NewSession(4, 0, StreamOptions{})

@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"testing"
@@ -13,12 +14,13 @@ import (
 // the equivalence sweep.
 var streamPfCfg = prefetch.Config{Depth: 8, HistoryLen: 20000, BufferBlocks: 2048}
 
-// TestStreamingMatchesBatchAllApps is the tentpole's equivalence guard:
-// CollectStreaming must reproduce Collect field for field — per-context
-// headers, every per-miss analysis field, the distribution summaries, and
-// the prefetch counters — for every application. The batch side reuses the
-// shared experiment cache, so the streaming runs are the only extra
-// simulations.
+// TestStreamingMatchesBatchAllApps is the streaming equivalence guard: a
+// plain Runner.Run (nothing materialized) must reproduce the KeepTraces
+// batch run field for field — per-context headers, every per-miss
+// analysis field, the distribution summaries, and the prefetch counters
+// (against prefetch.Evaluate over the batch trace) — for every
+// application. The batch side reuses the shared experiment cache, so the
+// streaming runs are the only extra simulations.
 func TestStreamingMatchesBatchAllApps(t *testing.T) {
 	apps := Apps()
 	if testing.Short() {
@@ -26,7 +28,9 @@ func TestStreamingMatchesBatchAllApps(t *testing.T) {
 	}
 	for _, app := range apps {
 		batch := collect(t, app)
-		stream := CollectStreaming(app, Small, 1, 35000, StreamOptions{Prefetch: &streamPfCfg})
+		stream := runExp(t, NewRunner(), Request{
+			App: app, Scale: Small, Seed: 1, TargetMisses: 35000, Prefetch: &streamPfCfg,
+		})
 		for _, ctx := range Contexts() {
 			b, s := batch.Context(ctx), stream.Context(ctx)
 			if s.Trace != nil {
@@ -76,7 +80,7 @@ func TestStreamingMatchesBatchAllApps(t *testing.T) {
 // materialized streaming traces must be byte-identical to the batch ones.
 func TestStreamingKeepTraces(t *testing.T) {
 	batch := collect(t, Apache)
-	stream := CollectStreaming(Apache, Small, 1, 35000, StreamOptions{KeepTraces: true})
+	stream := runExp(t, NewRunner(), Request{App: Apache, Scale: Small, Seed: 1, TargetMisses: 35000, KeepTraces: true})
 	for _, ctx := range Contexts() {
 		b, s := batch.Context(ctx), stream.Context(ctx)
 		if s.Trace == nil {
@@ -94,11 +98,12 @@ func TestStreamingKeepTraces(t *testing.T) {
 
 // streamAllocBytes measures the heap bytes one streaming collection
 // allocates end to end.
-func streamAllocBytes(target int, opts StreamOptions) uint64 {
+func streamAllocBytes(target int, analysis core.Options) uint64 {
+	r := NewRunner()
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	CollectStreaming(OLTP, Small, 9, target, opts)
+	r.Run(context.Background(), Request{App: OLTP, Scale: Small, Seed: 9, TargetMisses: target, Analysis: analysis})
 	runtime.ReadMemStats(&after)
 	return after.TotalAlloc - before.TotalAlloc
 }
@@ -112,7 +117,7 @@ func TestStreamingBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping memory-growth sweep in short mode")
 	}
-	opts := StreamOptions{Analysis: core.Options{MaxMisses: 4000}}
+	opts := core.Options{MaxMisses: 4000}
 	streamAllocBytes(6000, opts) // warm pools and lazily-grown storage
 	base := streamAllocBytes(6000, opts)
 	big := streamAllocBytes(4*6000, opts)

@@ -1,6 +1,7 @@
 package tempstream
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,9 +30,19 @@ func collect(tb testing.TB, app App) *Experiment {
 	// The window must span the I/O buffer recycle distance (~16k misses
 	// for DSS) for recurrence to be observable, as in the paper's
 	// billion-instruction traces.
-	e := Collect(app, Small, 1, 35000)
+	e := runExp(tb, NewRunner(), Request{App: app, Scale: Small, Seed: 1, TargetMisses: 35000, KeepTraces: true})
 	expCache[app] = e
 	return e
+}
+
+// runExp runs one request on r, failing the test or benchmark on error.
+func runExp(tb testing.TB, r *Runner, req Request) *Experiment {
+	tb.Helper()
+	exp, err := r.Run(context.Background(), req)
+	if err != nil {
+		tb.Fatalf("Run %v: %v", req.App, err)
+	}
+	return exp
 }
 
 func TestCollectProducesAllContexts(t *testing.T) {
